@@ -209,6 +209,18 @@ inline const std::vector<measure::Method>& paperMethods() {
 
 struct SweepResult {
   std::vector<measure::CampaignResult> campaigns;  // index-aligned to methods
+  // Methods whose campaign reported setup_ok == false. Their rows hold no
+  // measurement, so a figure bench must not pass them off as results.
+  std::vector<std::string> setup_failures;
+
+  // The figure bench's exit status: 0, or 1 after naming every method whose
+  // setup failed.
+  int exitCode() const {
+    for (const auto& name : setup_failures)
+      std::fprintf(stderr, "FAILED: %s setup failed; its row is not a "
+                           "measurement\n", name.c_str());
+    return setup_failures.empty() ? 0 : 1;
+  }
 };
 
 // `with_serverless` appends a sixth, measured-only campaign (the ephemeral
@@ -231,19 +243,12 @@ inline SweepResult runFiveMethodSweep(int accesses, bool measure_rtt,
   copts.measure_rtt = measure_rtt;
   copts.cold_cache = cold_cache;
   std::uint32_t tag = 100;
-  for (const auto method : paperMethods()) {
+  std::vector<measure::Method> methods = paperMethods();
+  if (with_serverless) methods.push_back(measure::Method::kServerless);
+  for (const auto method : methods) {
     auto result = measure::runAccessCampaign(tb, method, tag++, copts);
     if (!result.setup_ok)
-      std::fprintf(stderr, "WARNING: %s setup failed\n",
-                   measure::methodName(method));
-    sweep.campaigns.push_back(std::move(result));
-  }
-  if (with_serverless) {
-    auto result =
-        measure::runAccessCampaign(tb, measure::Method::kServerless, tag++,
-                                   copts);
-    if (!result.setup_ok)
-      std::fprintf(stderr, "WARNING: Serverless setup failed\n");
+      sweep.setup_failures.emplace_back(measure::methodName(method));
     sweep.campaigns.push_back(std::move(result));
   }
   if (args != nullptr) {

@@ -44,5 +44,5 @@ int main(int argc, char** argv) {
               "VPNs sit in the ~1-1.5 s band.\n"
               "(* measured only — no paper column; the fronted-dispatch PLT "
               "should land near\nScholarCloud's band.)\n");
-  return 0;
+  return sweep.exitCode();
 }

@@ -37,5 +37,5 @@ int main(int argc, char** argv) {
               "the single-hop\ntunnels cluster near the raw trans-Pacific "
               "round trip.\n"
               "(* measured only — serverless postdates the paper.)\n");
-  return 0;
+  return sweep.exitCode();
 }

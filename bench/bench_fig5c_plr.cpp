@@ -43,5 +43,5 @@ int main(int argc, char** argv) {
   std::printf("\nShape checks: Tor >> Shadowsocks >> {VPNs, ScholarCloud}; "
               "the US control\nstays below ~0.1%%, so the loss is the GFW's "
               "doing.\n(* measured only — serverless postdates the paper.)\n");
-  return 0;
+  return sweep.exitCode();
 }

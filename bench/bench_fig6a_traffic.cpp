@@ -48,5 +48,5 @@ int main(int argc, char** argv) {
   std::printf("\nShape checks: native VPN adds the most overhead (per-packet "
               "IP-in-GRE\nencapsulation of every segment and ACK); none of the "
               "methods blows the\nbudget by an order of magnitude.\n");
-  return 0;
+  return sweep.exitCode();
 }

@@ -30,5 +30,5 @@ int main(int argc, char** argv) {
               "Tor most\nexpensive (onion layers + heavier browser), the "
               "extra-client daemons cost\na trivial fraction — matching the "
               "paper's 'increase not remarkable'.\n");
-  return 0;
+  return sweep.exitCode();
 }

@@ -27,5 +27,5 @@ int main(int argc, char** argv) {
   report.print();
   std::printf("\nShape checks: the Tor Browser idles ~70%% above Chrome and "
               "grows the most\nwhile browsing; native VPN grows the least.\n");
-  return 0;
+  return sweep.exitCode();
 }

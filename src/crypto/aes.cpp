@@ -29,12 +29,62 @@ constexpr std::uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-constexpr std::uint8_t kRcon[15] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
-                                    0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c,
-                                    0xd8, 0xab, 0x4d};
+// Te[k][x] is the MixColumns column of SubBytes(x) placed in state row k,
+// i.e. Te[0][x] = (2·S[x], S[x], S[x], 3·S[x]) as a big-endian word and
+// Te[k] = Te[0] rotated right by 8k bits. One table round is then four
+// lookups and four XORs per column.
+using TeTables = std::array<std::array<std::uint32_t, 256>, 4>;
 
-std::uint8_t xtime(std::uint8_t x) noexcept {
-  return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+constexpr TeTables makeTeTables() noexcept {
+  TeTables te{};
+  for (std::size_t x = 0; x < 256; ++x) {
+    const std::uint32_t s1 = kSbox[x];
+    const std::uint32_t s2 = ((s1 << 1) ^ ((s1 >> 7) * 0x1b)) & 0xff;
+    const std::uint32_t s3 = s2 ^ s1;
+    const std::uint32_t w = (s2 << 24) | (s1 << 16) | (s1 << 8) | s3;
+    te[0][x] = w;
+    te[1][x] = (w >> 8) | (w << 24);
+    te[2][x] = (w >> 16) | (w << 16);
+    te[3][x] = (w >> 24) | (w << 8);
+  }
+  return te;
+}
+
+constexpr TeTables kTe = makeTeTables();
+
+std::uint32_t loadBe32(const std::uint8_t* p) noexcept {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+void storeBe32(std::uint8_t* p, std::uint32_t w) noexcept {
+  p[0] = static_cast<std::uint8_t>(w >> 24);
+  p[1] = static_cast<std::uint8_t>(w >> 16);
+  p[2] = static_cast<std::uint8_t>(w >> 8);
+  p[3] = static_cast<std::uint8_t>(w);
+}
+
+std::uint32_t subWord(std::uint32_t w) noexcept {
+  return (std::uint32_t{kSbox[w >> 24]} << 24) |
+         (std::uint32_t{kSbox[(w >> 16) & 0xff]} << 16) |
+         (std::uint32_t{kSbox[(w >> 8) & 0xff]} << 8) |
+         std::uint32_t{kSbox[w & 0xff]};
+}
+
+// One full round for the output column whose row-0 byte comes from `a`; the
+// ShiftRows offsets pick rows 1..3 from the next three columns in turn.
+std::uint32_t tableRound(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                         std::uint32_t d, std::uint32_t rk) noexcept {
+  return kTe[0][a >> 24] ^ kTe[1][(b >> 16) & 0xff] ^ kTe[2][(c >> 8) & 0xff] ^
+         kTe[3][d & 0xff] ^ rk;
+}
+
+// The last round has no MixColumns: plain S-box bytes, shifted the same way.
+std::uint32_t finalRound(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                         std::uint32_t d, std::uint32_t rk) noexcept {
+  return subWord((a & 0xff000000) | (b & 0x00ff0000) | (c & 0x0000ff00) |
+                 (d & 0x000000ff)) ^
+         rk;
 }
 }  // namespace
 
@@ -42,63 +92,47 @@ Aes256::Aes256(ByteView key) noexcept {
   std::uint8_t k[kAes256KeySize] = {};
   std::memcpy(k, key.data(), std::min(key.size(), kAes256KeySize));
 
-  // Key expansion: 60 words for AES-256.
-  constexpr int kNk = 8;
-  constexpr int kNw = 60;
-  std::uint8_t w[kNw][4];
-  for (int i = 0; i < kNk; ++i)
-    for (int j = 0; j < 4; ++j) w[i][j] = k[4 * i + j];
-  for (int i = kNk; i < kNw; ++i) {
-    std::uint8_t temp[4] = {w[i - 1][0], w[i - 1][1], w[i - 1][2], w[i - 1][3]};
-    if (i % kNk == 0) {
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / kNk]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
-    } else if (i % kNk == 4) {
-      for (auto& t : temp) t = kSbox[t];
-    }
-    for (int j = 0; j < 4; ++j)
-      w[i][j] = static_cast<std::uint8_t>(w[i - kNk][j] ^ temp[j]);
+  // Key expansion (FIPS 197 §5.2): 60 big-endian words for AES-256.
+  constexpr std::size_t kNk = 8;
+  for (std::size_t i = 0; i < kNk; ++i) round_keys_[i] = loadBe32(&k[4 * i]);
+  for (std::size_t i = kNk; i < round_keys_.size(); ++i) {
+    std::uint32_t temp = round_keys_[i - 1];
+    // Rcon[j] = x^(j-1) in GF(2^8); AES-256 needs only j <= 7, so it is a
+    // plain shift with no reduction.
+    if (i % kNk == 0)
+      temp = subWord((temp << 8) | (temp >> 24)) ^
+             (std::uint32_t{0x01000000} << (i / kNk - 1));
+    else if (i % kNk == 4)
+      temp = subWord(temp);
+    round_keys_[i] = round_keys_[i - kNk] ^ temp;
   }
-  for (int i = 0; i < kNw; ++i)
-    for (int j = 0; j < 4; ++j) round_keys_[4 * static_cast<std::size_t>(i) + static_cast<std::size_t>(j)] = w[i][j];
 }
 
 void Aes256::encryptBlock(const std::uint8_t in[16],
                           std::uint8_t out[16]) const noexcept {
-  constexpr int kRounds = 14;
-  std::uint8_t s[16];
-  // State is column-major per FIPS 197; we keep a flat array where
-  // s[4*c + r] is row r, column c — matching the round-key layout above.
-  for (int i = 0; i < 16; ++i) s[i] = in[i] ^ round_keys_[static_cast<std::size_t>(i)];
-
-  for (int round = 1; round <= kRounds; ++round) {
-    // SubBytes
-    for (auto& b : s) b = kSbox[b];
-    // ShiftRows (rows are s[c*4 + r] for r fixed)
-    std::uint8_t t;
-    t = s[1]; s[1] = s[5]; s[5] = s[9]; s[9] = s[13]; s[13] = t;
-    t = s[2]; s[2] = s[10]; s[10] = t; t = s[6]; s[6] = s[14]; s[14] = t;
-    t = s[15]; s[15] = s[11]; s[11] = s[7]; s[7] = s[3]; s[3] = t;
-    // MixColumns (skipped in final round)
-    if (round != kRounds) {
-      for (int c = 0; c < 4; ++c) {
-        std::uint8_t* col = &s[4 * c];
-        const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        const std::uint8_t all = static_cast<std::uint8_t>(a0 ^ a1 ^ a2 ^ a3);
-        col[0] = static_cast<std::uint8_t>(a0 ^ all ^ xtime(static_cast<std::uint8_t>(a0 ^ a1)));
-        col[1] = static_cast<std::uint8_t>(a1 ^ all ^ xtime(static_cast<std::uint8_t>(a1 ^ a2)));
-        col[2] = static_cast<std::uint8_t>(a2 ^ all ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
-        col[3] = static_cast<std::uint8_t>(a3 ^ all ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
-      }
-    }
-    // AddRoundKey
-    for (int i = 0; i < 16; ++i)
-      s[i] ^= round_keys_[static_cast<std::size_t>(16 * round + i)];
+  constexpr std::size_t kRounds = 14;
+  const std::uint32_t* rk = round_keys_.data();
+  // Column c of the state is the big-endian word s_c (row 0 in the top byte).
+  std::uint32_t s0 = loadBe32(in) ^ rk[0];
+  std::uint32_t s1 = loadBe32(in + 4) ^ rk[1];
+  std::uint32_t s2 = loadBe32(in + 8) ^ rk[2];
+  std::uint32_t s3 = loadBe32(in + 12) ^ rk[3];
+  for (std::size_t round = 1; round < kRounds; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = tableRound(s0, s1, s2, s3, rk[0]);
+    const std::uint32_t t1 = tableRound(s1, s2, s3, s0, rk[1]);
+    const std::uint32_t t2 = tableRound(s2, s3, s0, s1, rk[2]);
+    const std::uint32_t t3 = tableRound(s3, s0, s1, s2, rk[3]);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  std::memcpy(out, s, 16);
+  rk += 4;
+  storeBe32(out, finalRound(s0, s1, s2, s3, rk[0]));
+  storeBe32(out + 4, finalRound(s1, s2, s3, s0, rk[1]));
+  storeBe32(out + 8, finalRound(s2, s3, s0, s1, rk[2]));
+  storeBe32(out + 12, finalRound(s3, s0, s1, s2, rk[3]));
 }
 
 AesCfbStream::AesCfbStream(ByteView key, ByteView iv) noexcept : cipher_(key) {
@@ -107,56 +141,44 @@ AesCfbStream::AesCfbStream(ByteView key, ByteView iv) noexcept : cipher_(key) {
   std::memset(keystream_, 0, sizeof(keystream_));
 }
 
+void AesCfbStream::crypt(const std::uint8_t* in, std::uint8_t* out,
+                         std::size_t n, bool decrypt) noexcept {
+  // A local position: stores through `out` may alias any member, so a member
+  // counter would be reloaded after every byte.
+  std::size_t used = used_;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (used == kAesBlockSize) {
+      cipher_.encryptBlock(feedback_, keystream_);
+      used = 0;
+    }
+    // Read the input byte before writing the output so in == out works.
+    const std::uint8_t x = in[i];
+    const auto y = static_cast<std::uint8_t>(x ^ keystream_[used]);
+    out[i] = y;
+    feedback_[used] = decrypt ? x : y;  // the ciphertext byte feeds back
+    ++used;
+  }
+  used_ = used;
+}
+
 Bytes AesCfbStream::encrypt(ByteView plaintext) {
   Bytes out(plaintext.size());
-  for (std::size_t i = 0; i < plaintext.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    out[i] = plaintext[i] ^ keystream_[used_];
-    feedback_[used_] = out[i];  // ciphertext feeds back
-    ++used_;
-  }
+  crypt(plaintext.data(), out.data(), out.size(), /*decrypt=*/false);
   return out;
 }
 
 Bytes AesCfbStream::decrypt(ByteView ciphertext) {
   Bytes out(ciphertext.size());
-  for (std::size_t i = 0; i < ciphertext.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    out[i] = ciphertext[i] ^ keystream_[used_];
-    feedback_[used_] = ciphertext[i];
-    ++used_;
-  }
+  crypt(ciphertext.data(), out.data(), out.size(), /*decrypt=*/true);
   return out;
 }
 
 void AesCfbStream::encryptInPlace(Bytes& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    data[i] ^= keystream_[used_];
-    feedback_[used_] = data[i];  // ciphertext feeds back
-    ++used_;
-  }
+  crypt(data.data(), data.data(), data.size(), /*decrypt=*/false);
 }
 
 void AesCfbStream::decryptInPlace(Bytes& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (used_ == kAesBlockSize) {
-      cipher_.encryptBlock(feedback_, keystream_);
-      used_ = 0;
-    }
-    feedback_[used_] = data[i];  // ciphertext feeds back (read before XOR)
-    data[i] ^= keystream_[used_];
-    ++used_;
-  }
+  crypt(data.data(), data.data(), data.size(), /*decrypt=*/true);
 }
 
 Bytes aes256CfbEncrypt(ByteView key, ByteView iv, ByteView plaintext) {
