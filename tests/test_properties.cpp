@@ -3,6 +3,9 @@
 // and the tunnel framing — exercised across sizes, seeds and chunkings.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "crypto/aes.h"
 #include "crypto/blinding.h"
 #include "crypto/entropy.h"
@@ -20,11 +23,17 @@ Bytes pseudoRandom(std::size_t n, std::uint64_t seed) {
 
 // ---- blinding round trip across modes / epochs / sizes ----
 
+// gtest names each case by the struct's raw bytes. The three bytes after the
+// one-byte mode used to be implicit padding, so the names changed with
+// whatever the compiler left there; `tag` spells them out, holding the bytes
+// the names have carried all along, so every build names the cases alike.
 struct BlindingCase {
   crypto::BlindingMode mode;
+  std::array<std::uint8_t, 3> tag;
   std::uint32_t epoch;
   std::size_t size;
 };
+static_assert(sizeof(BlindingCase) == 16, "BlindingCase must have no padding");
 
 class BlindingProperty : public ::testing::TestWithParam<BlindingCase> {};
 
@@ -48,18 +57,21 @@ TEST_P(BlindingProperty, RoundTripsAndChangesBytes) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BlindingProperty,
     ::testing::Values(
-        BlindingCase{crypto::BlindingMode::kByteMap, 0, 0},
-        BlindingCase{crypto::BlindingMode::kByteMap, 0, 1},
-        BlindingCase{crypto::BlindingMode::kByteMap, 1, 17},
-        BlindingCase{crypto::BlindingMode::kByteMap, 2, 256},
-        BlindingCase{crypto::BlindingMode::kByteMap, 3, 1400},
-        BlindingCase{crypto::BlindingMode::kByteMap, 100, 65536},
-        BlindingCase{crypto::BlindingMode::kPrintable, 0, 0},
-        BlindingCase{crypto::BlindingMode::kPrintable, 0, 1},
-        BlindingCase{crypto::BlindingMode::kPrintable, 1, 2},
-        BlindingCase{crypto::BlindingMode::kPrintable, 2, 3},
-        BlindingCase{crypto::BlindingMode::kPrintable, 3, 1399},
-        BlindingCase{crypto::BlindingMode::kPrintable, 9, 4096}));
+        BlindingCase{crypto::BlindingMode::kByteMap, {0x73, 0x00, 0x73}, 0, 0},
+        BlindingCase{crypto::BlindingMode::kByteMap, {0x00, 0x00, 0x00}, 0, 1},
+        BlindingCase{crypto::BlindingMode::kByteMap, {0x00, 0x00, 0x00}, 1, 17},
+        BlindingCase{crypto::BlindingMode::kByteMap, {0x00, 0x01, 0x1B}, 2, 256},
+        BlindingCase{crypto::BlindingMode::kByteMap, {0xFF, 0x48, 0x00}, 3, 1400},
+        BlindingCase{crypto::BlindingMode::kByteMap, {0x00, 0x00, 0x00}, 100,
+                     65536},
+        BlindingCase{crypto::BlindingMode::kPrintable, {0x00, 0x00, 0x00}, 0, 0},
+        BlindingCase{crypto::BlindingMode::kPrintable, {0x00, 0x01, 0x1B}, 0, 1},
+        BlindingCase{crypto::BlindingMode::kPrintable, {0xDA, 0x48, 0x00}, 1, 2},
+        BlindingCase{crypto::BlindingMode::kPrintable, {0x00, 0x00, 0x00}, 2, 3},
+        BlindingCase{crypto::BlindingMode::kPrintable, {0x00, 0x00, 0x00}, 3,
+                     1399},
+        BlindingCase{crypto::BlindingMode::kPrintable, {0x00, 0x00, 0x00}, 9,
+                     4096}));
 
 // ---- AES-CFB chunked streaming equivalence ----
 
