@@ -209,17 +209,18 @@ inline const std::vector<measure::Method>& paperMethods() {
 
 struct SweepResult {
   std::vector<measure::CampaignResult> campaigns;  // index-aligned to methods
-  // Methods whose campaign reported setup_ok == false. Their rows hold no
-  // measurement, so a figure bench must not pass them off as results.
-  std::vector<std::string> setup_failures;
+  // One line per campaign whose row holds no measurement: its setup failed,
+  // or it set up but no access succeeded. Every sweep method is expected to
+  // work, so a figure bench must not pass such a row off as a result.
+  std::vector<std::string> failures;
 
-  // The figure bench's exit status: 0, or 1 after naming every method whose
-  // setup failed.
+  // The figure bench's exit status: 0, or 1 after naming every failed
+  // campaign's method.
   int exitCode() const {
-    for (const auto& name : setup_failures)
-      std::fprintf(stderr, "FAILED: %s setup failed; its row is not a "
-                           "measurement\n", name.c_str());
-    return setup_failures.empty() ? 0 : 1;
+    for (const auto& why : failures)
+      std::fprintf(stderr, "FAILED: %s; its row is not a measurement\n",
+                   why.c_str());
+    return failures.empty() ? 0 : 1;
   }
 };
 
@@ -247,8 +248,11 @@ inline SweepResult runFiveMethodSweep(int accesses, bool measure_rtt,
   if (with_serverless) methods.push_back(measure::Method::kServerless);
   for (const auto method : methods) {
     auto result = measure::runAccessCampaign(tb, method, tag++, copts);
+    const std::string name = measure::methodName(method);
     if (!result.setup_ok)
-      sweep.setup_failures.emplace_back(measure::methodName(method));
+      sweep.failures.push_back(name + " setup failed");
+    else if (result.successes == 0)
+      sweep.failures.push_back(name + " recorded no successful access");
     sweep.campaigns.push_back(std::move(result));
   }
   if (args != nullptr) {

@@ -274,19 +274,21 @@ void DomesticProxy::handleHttpRequest(const http::Request& req,
   const bool cacheable = cache != nullptr && req.method == "GET";
   const std::string cache_key = host + url->path;
   if (cacheable) {
-    auto hit = cache->lookup(cache_key);
+    const auto hit = cache->lookup(cache_key);
     // Zero-duration span: the consult is synchronous, but hit/miss counts
     // per access feed the phase breakdown.
     if (auto* sp = obs::spansOf(stack_.sim()))
       sp->end(sp->begin(obs::SpanKind::kCacheLookup, tag_,
-                        hit.has_value() ? "hit" : "miss", cache_key),
-              obs::SpanStatus::kOk, hit.has_value() ? 1 : 0);
-    if (hit.has_value()) {
+                        hit != nullptr ? "hit" : "miss", cache_key),
+              obs::SpanStatus::kOk, hit != nullptr ? 1 : 0);
+    if (hit != nullptr) {
       ++cache_hits_;
       if (c_cache_hits_ != nullptr) c_cache_hits_->inc();
       noteProxied();
-      hit->headers.set("x-cache", "hit");
-      respond(std::move(*hit));
+      // The stored entry is shared and immutable: mark a copy.
+      http::Response resp = *hit;
+      resp.headers.set("x-cache", "hit");
+      respond(std::move(resp));
       return;
     }
   }

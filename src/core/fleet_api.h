@@ -13,7 +13,7 @@
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 
 #include "http/message.h"
@@ -26,9 +26,12 @@ class ResponseCache {
  public:
   virtual ~ResponseCache() = default;
 
-  // nullopt on miss or expiry; a hit returns a copy the caller may mutate.
-  virtual std::optional<http::Response> lookup(const std::string& key) = 0;
-  virtual void insert(const std::string& key, const http::Response& resp) = 0;
+  // The stored entry, or nullptr on miss or expiry. Entries are immutable
+  // and shared: a caller that needs to change a hit copies it first, and a
+  // later insert under the same key replaces the pointer, never the object.
+  virtual std::shared_ptr<const http::Response> lookup(
+      const std::string& key) = 0;
+  virtual void insert(const std::string& key, http::Response resp) = 0;
 };
 
 class TunnelProvider {

@@ -20,15 +20,14 @@ std::size_t ShardedLruCache::shardOf(const std::string& key) const {
   return static_cast<std::size_t>(fnv1a(key) % shards_.size());
 }
 
-std::optional<http::Response> ShardedLruCache::lookup(const std::string& key) {
+std::shared_ptr<const http::Response> ShardedLruCache::lookup(
+    const std::string& key) {
   const std::size_t si = shardOf(key);
   Shard& shard = shards_[si];
   const auto it = shard.index.find(key);
-  bool hit = false;
-  std::optional<http::Response> out;
+  std::shared_ptr<const http::Response> out;
   if (it != shard.index.end()) {
     if (it->second->expires > sim_.now()) {
-      hit = true;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       out = it->second->response;
     } else {
@@ -36,6 +35,7 @@ std::optional<http::Response> ShardedLruCache::lookup(const std::string& key) {
       shard.index.erase(it);
     }
   }
+  const bool hit = out != nullptr;
   if (hit) {
     ++hits_;
     if (c_hits_ != nullptr) c_hits_->inc();
@@ -55,12 +55,12 @@ std::optional<http::Response> ShardedLruCache::lookup(const std::string& key) {
   return out;
 }
 
-void ShardedLruCache::insert(const std::string& key,
-                             const http::Response& resp) {
+void ShardedLruCache::insert(const std::string& key, http::Response resp) {
+  auto entry = std::make_shared<const http::Response>(std::move(resp));
   Shard& shard = shards_[shardOf(key)];
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->response = resp;
+    it->second->response = std::move(entry);
     it->second->expires = sim_.now() + options_.ttl;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
@@ -72,7 +72,7 @@ void ShardedLruCache::insert(const std::string& key,
     ++evictions_;
     if (c_evictions_ != nullptr) c_evictions_->inc();
   }
-  shard.lru.push_front(Entry{key, resp, sim_.now() + options_.ttl});
+  shard.lru.push_front(Entry{key, std::move(entry), sim_.now() + options_.ttl});
   shard.index[key] = shard.lru.begin();
 }
 

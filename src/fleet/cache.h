@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,8 +39,8 @@ class ShardedLruCache final : public core::ResponseCache {
  public:
   ShardedLruCache(sim::Simulator& sim, CacheOptions options);
 
-  std::optional<http::Response> lookup(const std::string& key) override;
-  void insert(const std::string& key, const http::Response& resp) override;
+  std::shared_ptr<const http::Response> lookup(const std::string& key) override;
+  void insert(const std::string& key, http::Response resp) override;
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
@@ -50,7 +51,7 @@ class ShardedLruCache final : public core::ResponseCache {
  private:
   struct Entry {
     std::string key;
-    http::Response response;
+    std::shared_ptr<const http::Response> response;
     sim::Time expires = 0;
   };
   struct Shard {

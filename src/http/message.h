@@ -4,9 +4,10 @@
 // blocking mechanisms the paper lists.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "http/url.h"
@@ -14,17 +15,21 @@
 
 namespace sc::http {
 
-// Case-insensitive header map would be ideal; we normalize keys to
-// canonical lowercase on insert instead, which keeps lookups trivial.
+// Header fields keyed by lowercase name, kept sorted bytewise by that name
+// (the order serialize() emits). Lookups fold ASCII case while comparing,
+// so a mixed-case key never allocates a lowered copy. A handful of fields
+// per message makes a sorted vector cheaper than any node-based map.
 class Headers {
  public:
-  void set(const std::string& key, std::string value);
-  std::optional<std::string> get(const std::string& key) const;
-  bool has(const std::string& key) const;
-  const std::map<std::string, std::string>& all() const { return map_; }
+  using Field = std::pair<std::string, std::string>;
+
+  void set(std::string_view key, std::string value);
+  std::optional<std::string> get(std::string_view key) const;
+  bool has(std::string_view key) const;
+  const std::vector<Field>& all() const { return fields_; }
 
  private:
-  std::map<std::string, std::string> map_;
+  std::vector<Field> fields_;
 };
 
 struct Request {
@@ -46,7 +51,8 @@ struct Response {
   Bytes serialize() const;
 };
 
-// Incremental parser usable for both directions.
+// Incremental parser usable for both directions. Header blocks are scanned
+// in place; a feed skips consumed bytes by offset and drops them once.
 template <typename Message>
 class MessageParser {
  public:
@@ -56,7 +62,9 @@ class MessageParser {
   void reset();
 
  private:
-  bool tryParseHeader();
+  // Parses the header block starting at buffer_[read] and advances `read`
+  // past it; false while the block is incomplete or on malformed input.
+  bool tryParseHeader(std::size_t& read);
 
   Bytes buffer_;
   std::optional<Message> partial_;

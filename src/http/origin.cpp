@@ -33,7 +33,10 @@ PageSpec PageSpec::simpleUsSite(const std::string& host) {
 }
 
 std::string WebOrigin::etagFor(const std::string& path) {
-  return "\"" + toHex(crypto::sha256(toBytes(path))).substr(0, 16) + "\"";
+  std::string etag(1, '"');
+  etag.append(toHex(crypto::sha256(toBytes(path))), 0, 16);
+  etag += '"';
+  return etag;
 }
 
 Bytes WebOrigin::buildBlob(std::size_t size, const std::string& seed) const {

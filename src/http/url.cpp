@@ -39,7 +39,10 @@ std::optional<Url> Url::parse(std::string_view text) {
 
 std::string Url::str() const {
   std::string s = scheme + "://" + host;
-  if (port != defaultPort()) s += ":" + std::to_string(port);
+  if (port != defaultPort()) {
+    s += ':';
+    s += std::to_string(port);
+  }
   s += path;
   return s;
 }

@@ -115,9 +115,8 @@ LoadState HybridScheduler::loadState(Method m, int query_rank) const {
   if (fleet_->cache() != nullptr) {
     // A real lookup, not a peek: it touches the LRU and the shared
     // sc.domestic.cache_* counters, exactly as a proxied GET would.
-    ls.cache_hit = fleet_->cache()
-                       ->lookup(PopulationModel::queryCacheKey(query_rank))
-                       .has_value();
+    ls.cache_hit = fleet_->cache()->lookup(
+                       PopulationModel::queryCacheKey(query_rank)) != nullptr;
   }
   return ls;
 }
@@ -173,7 +172,8 @@ void HybridScheduler::oneArrival(std::size_t class_idx) {
       resp.headers.set("content-type", "text/html");
       resp.headers.set("x-population", "1");
       resp.body.assign(2048, std::uint8_t{'p'});
-      fleet_->cache()->insert(PopulationModel::queryCacheKey(rank), resp);
+      fleet_->cache()->insert(PopulationModel::queryCacheKey(rank),
+                              std::move(resp));
     }
     // Occupy a balancer slot for the modeled page-load time: the load the
     // autoscaler and the packet cohort actually see.

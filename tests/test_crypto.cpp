@@ -383,10 +383,11 @@ TEST(Blinding, PrintableModeLooksLikeTextAndRoundTrips) {
 
 TEST(Blinding, PrintableModeRoundTripsAllRemainders) {
   BlindingCodec codec(toBytes("s"), 3, BlindingMode::kPrintable);
-  for (std::size_t n = 0; n <= 10; ++n) {
-    Bytes data(n);
-    for (std::size_t i = 0; i < n; ++i)
-      data[i] = static_cast<std::uint8_t>(200 + i);
+  static constexpr std::array<std::uint8_t, 10> kHigh = {
+      200, 201, 202, 203, 204, 205, 206, 207, 208, 209};
+  for (std::size_t n = 0; n <= kHigh.size(); ++n) {
+    const Bytes data(kHigh.begin(),
+                     kHigh.begin() + static_cast<std::ptrdiff_t>(n));
     EXPECT_EQ(codec.unblind(codec.blind(data)), data) << "n=" << n;
   }
 }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "helpers.h"
 #include "http/client.h"
 #include "http/origin.h"
@@ -8,6 +14,7 @@
 #include "http/socks.h"
 #include "http/tls.h"
 #include "http/url.h"
+#include "util/strings.h"
 
 namespace sc::http {
 namespace {
@@ -118,6 +125,217 @@ TEST(HttpMessage, ResponseStatusLineParses) {
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].status, 404);
   EXPECT_EQ(msgs[0].reason, "Not Found");
+}
+
+// ---- codec golden bytes ----
+//
+// The wire bytes feed every trace and perfbench digest, so they are pinned
+// here exactly: header names lowercase, fields in bytewise order of the
+// lowercased name, and content-length appended after the stored fields.
+
+TEST(HttpCodecGolden, RequestSortsMixedCaseHeadersByLowercaseName) {
+  Request req;
+  req.method = "POST";
+  req.target = "/submit?q=1";
+  req.headers.set("User-Agent", "ua/1");
+  req.headers.set("HOST", "example.com");
+  req.headers.set("Zeta", "z");   // 'Z' < 'a' bytewise, but 'z' > 'a'
+  req.headers.set("accept", "*/*");
+  req.headers.set("X_B", "2");    // '_' (0x5f) sorts after '-' (0x2d)
+  req.headers.set("x-a", "1");
+  req.headers.set("Host", "example.org");  // overwrites, keeps one field
+  req.body = toBytes("abc");
+  EXPECT_EQ(toString(req.serialize()),
+            "POST /submit?q=1 HTTP/1.1\r\n"
+            "accept: */*\r\n"
+            "host: example.org\r\n"
+            "user-agent: ua/1\r\n"
+            "x-a: 1\r\n"
+            "x_b: 2\r\n"
+            "zeta: z\r\n"
+            "content-length: 3\r\n"
+            "\r\n"
+            "abc");
+}
+
+TEST(HttpCodecGolden, NoBodyAndNoStoredLengthGetsZeroContentLength) {
+  Request req;
+  EXPECT_EQ(toString(req.serialize()),
+            "GET / HTTP/1.1\r\ncontent-length: 0\r\n\r\n");
+  Response resp;
+  resp.status = 502;
+  resp.reason = statusReason(502);
+  EXPECT_EQ(toString(resp.serialize()),
+            "HTTP/1.1 502 Bad Gateway\r\ncontent-length: 0\r\n\r\n");
+}
+
+TEST(HttpCodecGolden, StoredContentLengthWithoutBodyIsWrittenOnce) {
+  Request req;
+  req.method = "HEAD";
+  req.headers.set("Content-Length", "12");
+  EXPECT_EQ(toString(req.serialize()),
+            "HEAD / HTTP/1.1\r\ncontent-length: 12\r\n\r\n");
+}
+
+TEST(HttpCodecGolden, ResponseWithBodyAndHeaders) {
+  Response resp;
+  resp.status = 404;
+  resp.reason = "Not Found";
+  resp.headers.set("ETag", "\"e1\"");
+  resp.headers.set("Content-Type", "text/plain");
+  resp.body = toBytes("nope");
+  EXPECT_EQ(toString(resp.serialize()),
+            "HTTP/1.1 404 Not Found\r\n"
+            "content-type: text/plain\r\n"
+            "etag: \"e1\"\r\n"
+            "content-length: 4\r\n"
+            "\r\n"
+            "nope");
+}
+
+// Pins a known defect (ROADMAP item 3): a parsed response keeps its
+// content-length field, and serialize() appends a second one for a
+// non-empty body. Fixing it changes wire bytes and every digest.
+TEST(HttpCodecGolden, ReserializedParsedResponseRepeatsContentLength) {
+  Response resp;
+  resp.body = toBytes("hello");
+  const Bytes first = resp.serialize();
+  EXPECT_EQ(toString(first),
+            "HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello");
+  ResponseParser parser;
+  const auto msgs = parser.feed(first);
+  ASSERT_EQ(msgs.size(), 1u);
+  EXPECT_EQ(toString(msgs[0].serialize()),
+            "HTTP/1.1 200 OK\r\n"
+            "content-length: 5\r\n"
+            "content-length: 5\r\n"
+            "\r\n"
+            "hello");
+}
+
+// ---- Headers against a std::map oracle ----
+
+TEST(HttpHeaders, MatchesLowercasedMapOracle) {
+  // Names chosen to stress the ordering: case variants, prefix pairs,
+  // bytes >= 0x80 (never case-folded), separators on both sides of 'a'-'z'.
+  const std::vector<std::string> names = {
+      "content-length", "content-length2", "Content-Lengt", "a", "ab", "",
+      "x-cache", "x_cache", "x-cache-", "\xC3\xA9tag", "\xC3\x89TAG",
+      "etag", "Z", "zz", "host", "HOST0", "~", "\x7F", "\xFF", "via"};
+  std::uint64_t x = 0x4ead3125eedULL;  // splitmix64 stream
+  auto next = [&x] {
+    std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  auto randomCase = [&next](std::string s) {
+    for (char& c : s) {
+      if (c >= 'a' && c <= 'z' && (next() & 1)) c = static_cast<char>(c - 32);
+      if (c >= 'A' && c <= 'Z' && (next() & 1)) c = static_cast<char>(c + 32);
+    }
+    return s;
+  };
+
+  Headers headers;
+  std::map<std::string, std::string> oracle;
+  for (int op = 0; op < 4096; ++op) {
+    const std::string key = randomCase(names[next() % names.size()]);
+    switch (next() % 3) {
+      case 0: {
+        std::string value(1, 'v');
+        value += std::to_string(next() % 1000);
+        headers.set(key, value);
+        oracle[toLower(key)] = value;
+        break;
+      }
+      case 1: {
+        const auto it = oracle.find(toLower(key));
+        const std::optional<std::string> want =
+            it == oracle.end() ? std::nullopt
+                               : std::optional<std::string>(it->second);
+        ASSERT_EQ(headers.get(key), want) << "op " << op << " key " << key;
+        break;
+      }
+      default:
+        ASSERT_EQ(headers.has(key), oracle.contains(toLower(key)))
+            << "op " << op << " key " << key;
+    }
+    const std::vector<std::pair<std::string, std::string>> got(
+        headers.all().begin(), headers.all().end());
+    const std::vector<std::pair<std::string, std::string>> want(
+        oracle.begin(), oracle.end());
+    ASSERT_EQ(got, want) << "op " << op;
+  }
+  EXPECT_EQ(headers.all().size(), oracle.size());
+}
+
+// ---- parser framing ----
+
+TEST(HttpParser, PipelinedBurstSplitAtEveryOffset) {
+  Request a, b, c;
+  a.target = "/one";
+  a.headers.set("Host", "h.test");
+  b.method = "POST";
+  b.target = "/two";
+  b.body = toBytes("body-of-two\r\n\r\nwith a blank line");
+  c.target = "/three";
+  c.headers.set("Connection", "close");
+  Bytes burst = a.serialize();
+  appendBytes(burst, b.serialize());
+  appendBytes(burst, c.serialize());
+
+  for (std::size_t split = 0; split <= burst.size(); ++split) {
+    RequestParser parser;
+    auto got = parser.feed(ByteView(burst.data(), split));
+    for (auto& m : parser.feed(ByteView(burst.data() + split,
+                                       burst.size() - split)))
+      got.push_back(std::move(m));
+    ASSERT_FALSE(parser.malformed()) << "split " << split;
+    ASSERT_EQ(got.size(), 3u) << "split " << split;
+    EXPECT_EQ(got[0].target, "/one");
+    EXPECT_EQ(got[0].host(), "h.test");
+    EXPECT_EQ(got[1].method, "POST");
+    EXPECT_EQ(got[1].body, b.body);
+    EXPECT_EQ(got[2].headers.get("connection").value_or(""), "close");
+    EXPECT_EQ(got[1].headers.get("content-length").value_or(""),
+              std::to_string(b.body.size()));
+  }
+}
+
+TEST(HttpParser, HeaderBombTripsPastSixtyFourKiB) {
+  RequestParser parser;
+  parser.feed(toBytes("GET / HTTP/1.1\r\nhost: x"));
+  parser.feed(Bytes(64 * 1024 - 23, 'a'));  // exactly 64 KiB buffered
+  EXPECT_FALSE(parser.malformed());
+  parser.feed(toBytes("a"));
+  EXPECT_TRUE(parser.malformed());
+  EXPECT_TRUE(parser.feed(toBytes("\r\n\r\n")).empty());
+}
+
+TEST(HttpParser, HeaderBombCountsOnlyUnconsumedBytes) {
+  // A 60 KiB body is consumed in the same feed that starts the next header
+  // block; only the unconsumed 64 KiB of that block counts toward the limit.
+  Response big;
+  big.body.assign(60 * 1024, 'b');
+  Bytes wire = big.serialize();
+  appendBytes(wire, toBytes("HTTP/1.1 200 OK\r\nx: "));
+  const std::size_t head = 20;  // "HTTP/1.1 200 OK\r\nx: "
+  appendBytes(wire, Bytes(64 * 1024 - head, 'a'));
+
+  ResponseParser parser;
+  auto got = parser.feed(wire);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].body.size(), 60 * 1024u);
+  EXPECT_FALSE(parser.malformed());
+
+  got = parser.feed(toBytes("a\r\n\r\n"));
+  EXPECT_FALSE(parser.malformed());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].headers.get("x").value_or("").size(), 64 * 1024 - head + 1);
+
+  parser.feed(Bytes(64 * 1024 + 1, 'a'));
+  EXPECT_TRUE(parser.malformed());
 }
 
 // ---- TLS ----
@@ -600,7 +818,6 @@ TEST(HttpServer, PeerAddressIsStampedOntoRequests) {
       net::Endpoint{w.server_node.primaryIp(), 8080}, [&, holder](bool ok) {
         ASSERT_TRUE(ok);
         Request req;
-        req.target = "/";
         HttpClient::fetchOn(*holder, w.sim, req, sim::kMinute,
                             [&](std::optional<Response> r) { got = r; });
       });
@@ -622,7 +839,6 @@ TEST(HttpClient, TimesOutOnSilentServer) {
       net::Endpoint{w.server_node.primaryIp(), 9000}, [&, holder](bool ok) {
         ASSERT_TRUE(ok);
         Request req;
-        req.target = "/";
         HttpClient::fetchOn(*holder, w.sim, req, 2 * sim::kSecond,
                             [&](std::optional<Response> r) {
                               done = true;
