@@ -5,8 +5,6 @@
 #include "bench_common.h"
 #include "measure/report.h"
 
-#include <chrono>
-
 #include "core/domestic_proxy.h"
 
 using namespace sc;
@@ -41,8 +39,7 @@ int main() {
     // PAC size + native evaluation cost (what every browser pays per URL).
     const auto pac = proxy.buildPac();
     const std::string js = pac.toJavaScript();
-    // sclint:allow(det-wallclock) host-CPU cost of PAC evaluation is the measurement
-    const auto t0 = std::chrono::steady_clock::now();
+    const bench::Stopwatch clock;
     constexpr int kEvals = 20000;
     int diverted = 0;
     for (int i = 0; i < kEvals; ++i) {
@@ -50,11 +47,7 @@ int main() {
       if (pac.evaluate("www.amazon.com").kind != http::ProxyKind::kDirect)
         ++diverted;
     }
-    const auto elapsed = std::chrono::duration<double, std::micro>(
-                             // sclint:allow(det-wallclock) host-CPU cost of PAC evaluation is the measurement
-                             std::chrono::steady_clock::now() - t0)
-                             .count() /
-                         kEvals;
+    const double elapsed = clock.seconds() * 1e6 / kEvals;  // us per eval
     if (diverted != 0) std::fprintf(stderr, "BUG: default leak\n");
 
     // End-to-end PLT through the proxy with the big whitelist installed.

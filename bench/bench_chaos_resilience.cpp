@@ -19,8 +19,6 @@
 //   SC_BENCH_CHAOS_DAY_S       compressed "day", seconds  (default 10)
 //   SC_BENCH_CHAOS_DURATION_S  sim duration, seconds      (default 120)
 //   SC_BENCH_THREADS           parallel workers           (default hardware)
-#include <chrono>
-
 #include "bench_common.h"
 #include "chaos/scripts.h"
 #include "measure/chaos_scenario.h"
@@ -28,26 +26,13 @@
 
 namespace {
 
-// sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-bool sameResults(const std::vector<sc::measure::ChaosCellResult>& x,
-                 const std::vector<sc::measure::ChaosCellResult>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].attempts != y[i].attempts || x[i].successes != y[i].successes ||
-        x[i].impacted != y[i].impacted || x[i].recovered != y[i].recovered ||
-        x[i].requests_lost != y[i].requests_lost ||
-        x[i].metrics_jsonl != y[i].metrics_jsonl ||
-        x[i].trace_jsonl != y[i].trace_jsonl)
-      return false;
-  }
-  return true;
+bool sameCell(const sc::measure::ChaosCellResult& x,
+              const sc::measure::ChaosCellResult& y) {
+  return x.attempts == y.attempts && x.successes == y.successes &&
+         x.impacted == y.impacted && x.recovered == y.recovered &&
+         x.requests_lost == y.requests_lost &&
+         x.metrics_jsonl == y.metrics_jsonl &&
+         x.trace_jsonl == y.trace_jsonl;
 }
 
 }  // namespace
@@ -58,8 +43,7 @@ int main() {
   const int fleet_size = bench::intFromEnv("SC_BENCH_CHAOS_FLEET", 3);
   const int day_s = bench::intFromEnv("SC_BENCH_CHAOS_DAY_S", 10);
   const int duration_s = bench::intFromEnv("SC_BENCH_CHAOS_DURATION_S", 120);
-  const unsigned threads =
-      measure::ParallelRunner(bench::threadsFromEnv()).threads();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("Chaos resilience — recovery time per method x fault script\n");
 
@@ -90,15 +74,14 @@ int main() {
     }
   }
 
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  const auto par_start = std::chrono::steady_clock::now();
-  const auto results = measure::runChaosCells(cells, threads);
-  const double parallel_s = secondsSince(par_start);
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runChaosCells(cells, 1);
-  const double serial_s = secondsSince(serial_start);
-  const bool match = sameResults(results, serial);
+  const auto identity = bench::checkParallelIdentity(
+      threads,
+      [&](unsigned t) {
+        return measure::runCells(cells, t, measure::runChaosCell);
+      },
+      sameCell);
+  const auto& results = identity.parallel;
+  const bool match = identity.match;
 
   bool sc_recovers_all = true;
   bool baseline_dark = false;
@@ -122,15 +105,11 @@ int main() {
     }
   }
   std::printf("  parallel %s (%.2fs vs %.2fs serial on %u threads)\n",
-              match ? "matches" : "DIFFERS", parallel_s, serial_s, threads);
+              match ? "matches" : "DIFFERS", identity.parallel_s,
+              identity.serial_s, threads);
 
-  std::FILE* out = std::fopen("BENCH_chaos.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_chaos.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_chaos.json");
+  if (!jw.ok()) return 1;
   jw.beginObject("config")
       .field("users", users)
       .field("fleet_size", fleet_size)
@@ -166,8 +145,6 @@ int main() {
       .field("baseline_permanent_outage", baseline_dark)
       .field("parallel_matches_serial", match)
       .endObject();
-  jw.endObject();
-  std::fclose(out);
-  std::printf("  -> BENCH_chaos.json\n");
+  jw.close();
   return match ? 0 : 1;
 }

@@ -10,9 +10,16 @@
 //   --spans FILE     enable the obs::SpanTracer and dump the span trees to
 //                    FILE (.json suffix selects Chrome trace_event format
 //                    for chrome://tracing, anything else JSONL)
-//   --accesses N     override SC_BENCH_ACCESSES / the default
+//   --accesses N     override SC_BENCH_ACCESSES / the default (a positive
+//                    integer; anything else is rejected)
+//
+// It also holds the benches' one wall clock (Stopwatch) and their one
+// serial-vs-parallel determinism check (checkParallelIdentity).
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +28,7 @@
 #include <vector>
 
 #include "measure/campaign.h"
+#include "measure/parallel.h"
 #include "measure/resource_model.h"
 #include "measure/testbed.h"
 #include "obs/export.h"
@@ -36,18 +44,29 @@ inline int accessesFromEnv(int fallback = 120) {
 }
 
 // Parses a list of positive integers from the named environment variable;
-// any run of non-digits separates values. Empty when unset or digit-free.
+// any run of non-digits separates values. A value above INT_MAX is dropped
+// with a message. Empty when unset or digit-free.
 inline std::vector<int> parseIntList(const char* env_name) {
   std::vector<int> out;
   const char* env = std::getenv(env_name);
   if (env == nullptr) return out;
-  int v = 0;
+  long long v = 0;
+  bool too_big = false;
   for (const char* p = env;; ++p) {
     if (*p >= '0' && *p <= '9') {
       v = v * 10 + (*p - '0');
+      if (v > INT_MAX) {
+        too_big = true;
+        v = 0;  // keeps the accumulator bounded; the run is dropped anyway
+      }
     } else {
-      if (v > 0) out.push_back(v);
+      if (too_big)
+        std::fprintf(stderr, "%s: value above %d ignored\n", env_name,
+                     INT_MAX);
+      else if (v > 0)
+        out.push_back(static_cast<int>(v));
       v = 0;
+      too_big = false;
       if (*p == '\0') break;
     }
   }
@@ -59,10 +78,12 @@ inline int intFromEnv(const char* env_name, int fallback) {
   return v.empty() ? fallback : v.front();
 }
 
-// SC_BENCH_THREADS: worker count for the parallel campaign executor.
-// 0 (or unset) means std::thread::hardware_concurrency().
+// SC_BENCH_THREADS: worker count for the parallel campaign executor,
+// resolved as ParallelRunner does (0 or unset: hardware concurrency).
 inline unsigned threadsFromEnv() {
-  return static_cast<unsigned>(intFromEnv("SC_BENCH_THREADS", 0));
+  return measure::ParallelRunner(
+             static_cast<unsigned>(intFromEnv("SC_BENCH_THREADS", 0)))
+      .threads();
 }
 
 // Common bench options parsed from argv. Unknown arguments are rejected so a
@@ -73,6 +94,11 @@ struct BenchArgs {
   std::string spans_path;    // empty = span recording off
   int accesses = 0;          // 0 = use accessesFromEnv
   bool ok = true;
+
+  // --accesses if given, else SC_BENCH_ACCESSES, else `fallback`.
+  int accessesOr(int fallback = 120) const {
+    return accesses > 0 ? accesses : accessesFromEnv(fallback);
+  }
 };
 
 inline BenchArgs parseBenchArgs(int argc, char** argv) {
@@ -94,7 +120,18 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     } else if (std::strcmp(a, "--spans") == 0) {
       if (const char* v = value("--spans")) args.spans_path = v;
     } else if (std::strcmp(a, "--accesses") == 0) {
-      if (const char* v = value("--accesses")) args.accesses = std::atoi(v);
+      if (const char* v = value("--accesses")) {
+        char* end = nullptr;
+        const long long n = std::strtoll(v, &end, 10);
+        if (end == v || *end != '\0' || n <= 0 || n > INT_MAX) {
+          std::fprintf(stderr,
+                       "--accesses expects a positive integer, got '%s'\n",
+                       v);
+          args.ok = false;
+        } else {
+          args.accesses = static_cast<int>(n);
+        }
+      }
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       std::fprintf(stderr,
                    "usage: %s [--trace FILE] [--metrics FILE] [--spans FILE] "
@@ -107,6 +144,49 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// The benches' one wall clock. Throughput, speedup and overhead figures are
+// host wall time by definition; no simulated quantity ever reads it.
+class Stopwatch {
+ public:
+  Stopwatch() : start_(Clock::now()) {}
+  double seconds() const {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
+
+ private:
+  // sclint:allow(det-wallclock) benches report host wall time; nothing simulated reads it
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start_;
+};
+
+// Both runs of a serial-vs-parallel determinism check.
+template <class Result>
+struct ParallelIdentity {
+  std::vector<Result> parallel;
+  std::vector<Result> serial;
+  double parallel_s = 0;
+  double serial_s = 0;
+  bool match = false;  // same length and same(parallel[i], serial[i]) for all i
+};
+
+// Runs the same cells on `threads` workers, then on one (`run(threads)`,
+// then `run(1)`), timing each; `same` compares one result pair.
+// Parallelism may change wall time, never results.
+template <class Run, class Same>
+auto checkParallelIdentity(unsigned threads, Run run, Same same) {
+  using Results = std::invoke_result_t<Run&, unsigned>;
+  ParallelIdentity<typename Results::value_type> out;
+  const Stopwatch parallel_clock;
+  out.parallel = run(threads);
+  out.parallel_s = parallel_clock.seconds();
+  const Stopwatch serial_clock;
+  out.serial = run(1u);
+  out.serial_s = serial_clock.seconds();
+  out.match = std::equal(out.parallel.begin(), out.parallel.end(),
+                         out.serial.begin(), out.serial.end(), same);
+  return out;
 }
 
 // Streaming writer for the BENCH_*.json artifacts: nested objects/arrays
@@ -197,6 +277,88 @@ class JsonWriter {
   std::FILE* out_;
   std::vector<bool> first_;
 };
+
+// One BENCH_*.json artifact in the working directory: the file and its
+// top-level object are opened here; close() ends both and notes the path.
+class JsonArtifact : public JsonWriter {
+ public:
+  explicit JsonArtifact(const char* path)
+      : JsonArtifact(path, std::fopen(path, "w")) {}
+  ~JsonArtifact() { close(); }
+  JsonArtifact(const JsonArtifact&) = delete;
+  JsonArtifact& operator=(const JsonArtifact&) = delete;
+
+  bool ok() const noexcept { return file_ != nullptr; }
+  void close() {
+    if (file_ == nullptr) return;
+    endObject();
+    std::fclose(file_);
+    file_ = nullptr;
+    std::printf("  -> %s\n", path_);
+  }
+
+ private:
+  JsonArtifact(const char* path, std::FILE* file)
+      : JsonWriter(file), path_(path), file_(file) {
+    if (file_ == nullptr)
+      std::fprintf(stderr, "cannot write %s\n", path_);
+    else
+      beginObject();
+  }
+
+  const char* path_;
+  std::FILE* file_;
+};
+
+// The campaign stage of the core and gfw throughput benches: one method's
+// fig-7-style sweep through runScalabilityParallel on `threads` workers,
+// checked against the plain serial runScalability loop.
+struct CampaignSweepIdentity {
+  std::vector<int> client_counts;
+  unsigned threads = 1;
+  ParallelIdentity<measure::ScalabilityPoint> runs;
+
+  double speedup() const {
+    return runs.parallel_s > 0 ? runs.serial_s / runs.parallel_s : 0;
+  }
+  void print() const {
+    std::printf(
+        "  campaign: serial %.2fs, parallel %.2fs on %u threads (%.2fx), "
+        "results %s\n",
+        runs.serial_s, runs.parallel_s, threads, speedup(),
+        runs.match ? "match" : "DIFFER");
+  }
+  // The artifact's "campaign" object.
+  void write(JsonWriter& jw) const {
+    jw.beginObject("campaign");
+    jw.beginArray("client_counts");
+    for (const int c : client_counts) jw.element(c);
+    jw.endArray();
+    jw.field("threads", threads)
+        .field("serial_seconds", runs.serial_s)
+        .field("parallel_seconds", runs.parallel_s)
+        .field("speedup", speedup())
+        .field("parallel_matches_serial", runs.match)
+        .endObject();
+  }
+};
+
+inline CampaignSweepIdentity runCampaignSweepIdentity(
+    measure::Method method, const std::vector<int>& client_counts,
+    unsigned threads) {
+  measure::ScalabilityOptions options;
+  options.client_counts = client_counts;
+  const auto run = [&](unsigned t) {
+    return t == 1 ? measure::runScalability(method, options)
+                  : measure::runScalabilityParallel(method, options, t);
+  };
+  const auto same = [](const measure::ScalabilityPoint& x,
+                       const measure::ScalabilityPoint& y) {
+    return x.clients == y.clients && x.plt_mean_s == y.plt_mean_s &&
+           x.plt_p95_s == y.plt_p95_s && x.failures == y.failures;
+  };
+  return {client_counts, threads, checkParallelIdentity(threads, run, same)};
+}
 
 // The five methods of Fig. 2/5/6, in the paper's presentation order.
 inline const std::vector<measure::Method>& paperMethods() {

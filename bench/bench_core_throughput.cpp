@@ -1,9 +1,7 @@
 // Core hot-path throughput, the numbers behind the event-loop rework:
 //
 //   1. events/sec through sim::Simulator (inline callbacks, generation
-//      cancellation, flat 4-ary heap) vs an in-bench replica of the old
-//      loop (std::function + shared_ptr<bool> flags + std::priority_queue),
-//      both running the same schedule/cancel/re-arm workload;
+//      cancellation, flat 4-ary heap) on a schedule/cancel/re-arm workload;
 //   2. packets/sec across a two-node link (the stash-based delivery path);
 //   3. serial vs parallel campaign wall clock over identical cells, plus a
 //      check that both produce identical results.
@@ -14,86 +12,20 @@
 //   SC_BENCH_PACKETS        packets across the link   (default 200000)
 //   SC_BENCH_SCALE_CLIENTS  campaign cell sizes       (default 5,10,15,20)
 //   SC_BENCH_THREADS        parallel workers          (default hardware)
-#include <chrono>
 #include <functional>
-#include <memory>
-#include <queue>
 
 #include "bench_common.h"
-#include "measure/parallel.h"
 
 namespace {
 
 using sc::sim::Time;
 
-// sclint:allow(det-wallclock) events/sec & packets/sec are wall-clock measurements of the host
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) events/sec & packets/sec are wall-clock measurements of the host
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-// Replica of the pre-rework event loop, kept as the fixed baseline the
-// events/sec ratio is measured against: every event heap-allocates its
-// std::function state, cancellation is a shared_ptr<bool> checked at fire
-// time, and storage is std::priority_queue.
-class LegacySim {
- public:
-  struct Handle {
-    std::shared_ptr<bool> cancelled;
-    void cancel() {
-      if (cancelled != nullptr) *cancelled = true;
-    }
-  };
-
-  Time now() const { return now_; }
-  std::uint64_t eventsExecuted() const { return executed_; }
-
-  Handle schedule(Time delay, std::function<void()> fn) {
-    auto flag = std::make_shared<bool>(false);
-    queue_.push(Event{now_ + delay, ++seq_, flag, std::move(fn)});
-    return Handle{std::move(flag)};
-  }
-
-  void run() {
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.at;
-      if (*ev.cancelled) continue;
-      ++executed_;
-      ev.fn();
-    }
-  }
-
- private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    std::shared_ptr<bool> cancelled;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-
-  Time now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-// The simulator's hot pattern, run identically on both loops: concurrent
-// chains where each step re-arms a timeout (cancel + schedule, like a TCP
-// RTO) and schedules its successor.
-template <class Sim>
-double eventsPerSec(Sim& sim, long long target, std::uint64_t& executed) {
+// The simulator's hot pattern: concurrent chains where each step re-arms a
+// timeout (cancel + schedule, like a TCP RTO) and schedules its successor.
+double eventsPerSec(long long target, std::uint64_t& executed) {
   constexpr int kChains = 64;
-  using Handle = decltype(sim.schedule(Time{1}, [] {}));
-  std::vector<Handle> timeouts(kChains);
+  sc::sim::Simulator sim;
+  std::vector<sc::sim::EventHandle> timeouts(kChains);
   long long fired = 0;
   std::function<void(int)> step = [&](int c) {
     ++fired;
@@ -101,11 +33,10 @@ double eventsPerSec(Sim& sim, long long target, std::uint64_t& executed) {
     timeouts[static_cast<std::size_t>(c)] = sim.schedule(1000, [] {});
     if (fired + kChains <= target) sim.schedule(1, [&step, c] { step(c); });
   };
-  // sclint:allow(det-wallclock) wall-clock throughput is what this bench reports
-  const auto start = std::chrono::steady_clock::now();
+  const sc::bench::Stopwatch clock;
   for (int c = 0; c < kChains; ++c) sim.schedule(1, [&step, c] { step(c); });
   sim.run();
-  const double elapsed = secondsSince(start);
+  const double elapsed = clock.seconds();
   executed = sim.eventsExecuted();
   return static_cast<double>(executed) / elapsed;
 }
@@ -144,25 +75,13 @@ double packetsPerSec(long long target) {
   a.setLocalHandler(bounce(a, ip_a, ip_b));
   b.setLocalHandler(bounce(b, ip_b, ip_a));
 
-  // sclint:allow(det-wallclock) wall-clock throughput is what this bench reports
-  const auto start = std::chrono::steady_clock::now();
+  const sc::bench::Stopwatch clock;
   for (int w = 0; w < 64; ++w) {
     a.send(sc::net::makeUdp(ip_a, ip_b, 1000, 2000,
                             sc::Bytes(256, static_cast<std::uint8_t>(w))));
   }
   sim.run();
-  return static_cast<double>(delivered) / secondsSince(start);
-}
-
-bool samePoints(const std::vector<sc::measure::ScalabilityPoint>& x,
-                const std::vector<sc::measure::ScalabilityPoint>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].clients != y[i].clients || x[i].plt_mean_s != y[i].plt_mean_s ||
-        x[i].plt_p95_s != y[i].plt_p95_s || x[i].failures != y[i].failures)
-      return false;
-  }
-  return true;
+  return static_cast<double>(delivered) / clock.seconds();
 }
 
 }  // namespace
@@ -173,73 +92,34 @@ int main() {
   const long long n_packets = bench::intFromEnv("SC_BENCH_PACKETS", 200000);
   std::vector<int> cells = bench::parseIntList("SC_BENCH_SCALE_CLIENTS");
   if (cells.empty()) cells = {5, 10, 15, 20};
-  const unsigned threads_req = bench::threadsFromEnv();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("Core throughput — event loop, link delivery, parallel sweep\n");
 
-  std::uint64_t new_executed = 0, legacy_executed = 0;
-  sim::Simulator fast;
-  const double new_eps = eventsPerSec(fast, n_events, new_executed);
-  LegacySim legacy;
-  const double legacy_eps = eventsPerSec(legacy, n_events, legacy_executed);
-  const double event_speedup = legacy_eps > 0 ? new_eps / legacy_eps : 0;
-  std::printf("  events/sec: %.3g (legacy %.3g, speedup %.2fx, %llu fired)\n",
-              new_eps, legacy_eps, event_speedup,
-              static_cast<unsigned long long>(new_executed));
+  std::uint64_t executed = 0;
+  const double eps = eventsPerSec(n_events, executed);
+  std::printf("  events/sec: %.3g (%llu fired)\n", eps,
+              static_cast<unsigned long long>(executed));
 
   const double pps = packetsPerSec(n_packets);
   std::printf("  packets/sec: %.3g\n", pps);
 
-  measure::ScalabilityOptions sopts;
-  sopts.client_counts = cells;
-  // sclint:allow(det-wallclock) wall-clock throughput is what this bench reports
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial =
-      measure::runScalability(measure::Method::kScholarCloud, sopts);
-  const double serial_s = secondsSince(serial_start);
-  const measure::ParallelRunner runner(threads_req);
-  // sclint:allow(det-wallclock) wall-clock throughput is what this bench reports
-  const auto par_start = std::chrono::steady_clock::now();
-  const auto parallel = measure::runScalabilityParallel(
-      measure::Method::kScholarCloud, sopts, runner.threads());
-  const double parallel_s = secondsSince(par_start);
-  const bool match = samePoints(serial, parallel);
-  std::printf(
-      "  campaign: serial %.2fs, parallel %.2fs on %u threads (%.2fx), "
-      "results %s\n",
-      serial_s, parallel_s, runner.threads(),
-      parallel_s > 0 ? serial_s / parallel_s : 0, match ? "match" : "DIFFER");
+  const auto campaign = bench::runCampaignSweepIdentity(
+      measure::Method::kScholarCloud, cells, threads);
+  campaign.print();
 
-  std::FILE* out = std::fopen("BENCH_core.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_core.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_core.json");
+  if (!jw.ok()) return 1;
   jw.beginObject("events")
       .field("requested", n_events)
-      .field("fired", new_executed)
-      .field("events_per_sec", new_eps)
-      .field("legacy_events_per_sec", legacy_eps)
-      .field("speedup", event_speedup)
+      .field("fired", executed)
+      .field("events_per_sec", eps)
       .endObject();
   jw.beginObject("packets")
       .field("requested", n_packets)
       .field("packets_per_sec", pps)
       .endObject();
-  jw.beginObject("campaign");
-  jw.beginArray("client_counts");
-  for (const int c : cells) jw.element(c);
-  jw.endArray();
-  jw.field("threads", runner.threads())
-      .field("serial_seconds", serial_s)
-      .field("parallel_seconds", parallel_s)
-      .field("speedup", parallel_s > 0 ? serial_s / parallel_s : 0)
-      .field("parallel_matches_serial", match)
-      .endObject();
-  jw.endObject();
-  std::fclose(out);
-  std::printf("  -> BENCH_core.json\n");
-  return match ? 0 : 1;
+  campaign.write(jw);
+  jw.close();
+  return campaign.runs.match ? 0 : 1;
 }

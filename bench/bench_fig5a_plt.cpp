@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   using namespace sc::measure;
   const auto args = bench::parseBenchArgs(argc, argv);
   if (!args.ok) return 2;
-  const int accesses =
-      args.accesses > 0 ? args.accesses : bench::accessesFromEnv();
+  const int accesses = args.accessesOr();
   std::printf("Figure 5a — page load time (%d accesses per method)\n",
               accesses);
 

@@ -9,8 +9,7 @@ int main(int argc, char** argv) {
   using namespace sc::measure;
   const auto args = bench::parseBenchArgs(argc, argv);
   if (!args.ok) return 2;
-  const int accesses =
-      args.accesses > 0 ? args.accesses : bench::accessesFromEnv(60);
+  const int accesses = args.accessesOr(60);
   std::printf("Figure 6b — client CPU utilization (%d accesses)\n", accesses);
 
   const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,

@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   using namespace sc::measure;
   const auto args = bench::parseBenchArgs(argc, argv);
   if (!args.ok) return 2;
-  const int accesses =
-      args.accesses > 0 ? args.accesses : bench::accessesFromEnv(40);
+  const int accesses = args.accessesOr(40);
   std::printf("Figure 6c — client memory usage (%d accesses)\n", accesses);
 
   const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,

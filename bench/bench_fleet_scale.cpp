@@ -10,34 +10,17 @@
 //   SC_BENCH_FLEET_CHURN_S     churn interval, seconds   (default 15)
 //   SC_BENCH_FLEET_DURATION_S  sim duration, seconds     (default 120)
 //   SC_BENCH_THREADS           parallel workers          (default hardware)
-#include <chrono>
-
 #include "bench_common.h"
 #include "measure/fleet_scenario.h"
 #include "measure/parallel.h"
 
 namespace {
 
-// sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-bool sameResults(const std::vector<sc::measure::FleetCellResult>& x,
-                 const std::vector<sc::measure::FleetCellResult>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].attempts != y[i].attempts || x[i].successes != y[i].successes ||
-        x[i].cache_hits != y[i].cache_hits ||
-        x[i].border_bytes != y[i].border_bytes ||
-        x[i].respawns != y[i].respawns ||
-        x[i].metrics_jsonl != y[i].metrics_jsonl)
-      return false;
-  }
-  return true;
+bool sameCell(const sc::measure::FleetCellResult& x,
+              const sc::measure::FleetCellResult& y) {
+  return x.attempts == y.attempts && x.successes == y.successes &&
+         x.cache_hits == y.cache_hits && x.border_bytes == y.border_bytes &&
+         x.respawns == y.respawns && x.metrics_jsonl == y.metrics_jsonl;
 }
 
 }  // namespace
@@ -49,8 +32,7 @@ int main() {
   if (sizes.empty()) sizes = {1, 2, 4};
   const int churn_s = bench::intFromEnv("SC_BENCH_FLEET_CHURN_S", 15);
   const int duration_s = bench::intFromEnv("SC_BENCH_FLEET_DURATION_S", 120);
-  const unsigned threads = measure::ParallelRunner(bench::threadsFromEnv())
-                               .threads();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("Fleet scale — success under churn vs size, cache vs border\n");
 
@@ -79,15 +61,14 @@ int main() {
     cells.push_back(c);  // ... vs the identical world without it
   }
 
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  const auto par_start = std::chrono::steady_clock::now();
-  const auto results = measure::runFleetCells(cells, threads);
-  const double parallel_s = secondsSince(par_start);
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runFleetCells(cells, 1);
-  const double serial_s = secondsSince(serial_start);
-  const bool match = sameResults(results, serial);
+  const auto identity = bench::checkParallelIdentity(
+      threads,
+      [&](unsigned t) {
+        return measure::runCells(cells, t, measure::runFleetCell);
+      },
+      sameCell);
+  const auto& results = identity.parallel;
+  const bool match = identity.match;
 
   bool monotone = true;
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
@@ -115,16 +96,11 @@ int main() {
       static_cast<unsigned long long>(cache_on.cache_hits),
       static_cast<unsigned long long>(cache_off.border_bytes),
       static_cast<unsigned long long>(cache_on.border_bytes),
-      monotone ? "yes" : "NO", match ? "matches" : "DIFFERS", parallel_s,
-      serial_s, threads);
+      monotone ? "yes" : "NO", match ? "matches" : "DIFFERS",
+      identity.parallel_s, identity.serial_s, threads);
 
-  std::FILE* out = std::fopen("BENCH_fleet.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fleet.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_fleet.json");
+  if (!jw.ok()) return 1;
   jw.beginObject("config")
       .field("users", users)
       .field("churn_interval_s", churn_s)
@@ -156,8 +132,6 @@ int main() {
       .field("cache_reduces_border_bytes", cache_saves_border)
       .field("parallel_matches_serial", match)
       .endObject();
-  jw.endObject();
-  std::fclose(out);
-  std::printf("  -> BENCH_fleet.json\n");
+  jw.close();
   return match ? 0 : 1;
 }

@@ -24,7 +24,6 @@
 //   SC_BENCH_GFW_WAVES     blocklist mutation waves         (default 16)
 //   SC_BENCH_SCALE_CLIENTS campaign cell sizes              (default 4,8,12)
 //   SC_BENCH_THREADS       parallel workers                 (default hardware)
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -37,7 +36,6 @@
 #include "gfw/classifier.h"
 #include "gfw/dpi/engine.h"
 #include "gfw/dpi/scanner.h"
-#include "measure/parallel.h"
 #include "net/packet.h"
 #include "util/bytes.h"
 #include "util/hash.h"
@@ -49,14 +47,6 @@ using sc::Bytes;
 using sc::ByteView;
 using sc::gfw::ClassifierThresholds;
 using sc::gfw::FlowClass;
-
-// sclint:allow(det-wallclock) packets/sec is a wall-clock measurement of the host
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) packets/sec is a wall-clock measurement of the host
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // ---------------------------------------------------------------------------
 // Replica of the pre-rework inspectors, kept as the fixed baseline the
@@ -209,10 +199,9 @@ struct CompiledInspector {
 
   void refresh() {
     if (engine.compiled() && dpi_version == domains.version()) return;
-    // sclint:allow(det-wallclock) recompile cost is a wall-clock measurement of the host
-    const auto start = std::chrono::steady_clock::now();
+    const sc::bench::Stopwatch clock;
     engine.compile(domains.patterns());
-    recompile_seconds += secondsSince(start);
+    recompile_seconds += clock.seconds();
     ++recompiles;
     dpi_version = domains.version();
   }
@@ -343,17 +332,6 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint16_t v) {
 }
 constexpr std::uint64_t kFnvOffset = sc::kFnv1aOffset;
 
-bool samePoints(const std::vector<sc::measure::ScalabilityPoint>& x,
-                const std::vector<sc::measure::ScalabilityPoint>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].clients != y[i].clients || x[i].plt_mean_s != y[i].plt_mean_s ||
-        x[i].plt_p95_s != y[i].plt_p95_s || x[i].failures != y[i].failures)
-      return false;
-  }
-  return true;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -370,7 +348,7 @@ int main() {
   const int n_waves = bench::intFromEnv("SC_BENCH_GFW_WAVES", 16);
   std::vector<int> cells = bench::parseIntList("SC_BENCH_SCALE_CLIENTS");
   if (cells.empty()) cells = {4, 8, 12};
-  const unsigned threads_req = bench::threadsFromEnv();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("GFW throughput — compiled DPI vs legacy inspectors\n");
 
@@ -391,28 +369,26 @@ int main() {
   // --- 1+2: timed inspector runs, verdict hashes accumulated in-loop ------
   std::uint64_t legacy_hash = kFnvOffset;
   long long legacy_done = 0;
-  // sclint:allow(det-wallclock) packets/sec is what this bench reports
-  const auto legacy_start = std::chrono::steady_clock::now();
+  const bench::Stopwatch legacy_clock;
   while (legacy_done < n_packets) {
     for (const auto& pkt : corpus) {
       legacy_hash = fnv1a(legacy_hash, legacyVerdict(pkt, legacy_domains, thresholds));
       ++legacy_done;
     }
   }
-  const double legacy_s = secondsSince(legacy_start);
+  const double legacy_s = legacy_clock.seconds();
   const double legacy_pps = static_cast<double>(legacy_done) / legacy_s;
 
   std::uint64_t new_hash = kFnvOffset;
   long long new_done = 0;
-  // sclint:allow(det-wallclock) packets/sec is what this bench reports
-  const auto new_start = std::chrono::steady_clock::now();
+  const bench::Stopwatch new_clock;
   while (new_done < n_packets) {
     for (const auto& pkt : corpus) {
       new_hash = fnv1a(new_hash, compiled.verdict(pkt, thresholds));
       ++new_done;
     }
   }
-  const double new_s = secondsSince(new_start);
+  const double new_s = new_clock.seconds();
   const double new_pps = static_cast<double>(new_done) / new_s;
   const double speedup = legacy_pps > 0 ? new_pps / legacy_pps : 0;
   const bool verdicts_match = legacy_hash == new_hash;
@@ -433,8 +409,7 @@ int main() {
   std::uint64_t churn_hash = kFnvOffset;
   const long long batch =
       std::max<long long>(1, n_packets / std::max(1, n_waves));
-  // sclint:allow(det-wallclock) churn throughput is what this bench reports
-  const auto churn_start = std::chrono::steady_clock::now();
+  const bench::Stopwatch churn_clock;
   for (int w = 0; w < n_waves; ++w) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "wave-%04d.churn.example.net", w);
@@ -453,7 +428,7 @@ int main() {
       }
     }
   }
-  const double churn_s = secondsSince(churn_start);
+  const double churn_s = churn_clock.seconds();
   const double churn_pps = static_cast<double>(churn_done) / churn_s;
   const std::uint64_t churn_recompiles = compiled.recompiles - pre_churn_recompiles;
   const double churn_recompile_s =
@@ -473,33 +448,12 @@ int main() {
       1e3 * recompile_mean_s, amortize_packets, churn_pps, 100 * retained);
 
   // --- 4: serial vs parallel campaign sweep (full stack, GFW inline) ------
-  measure::ScalabilityOptions sopts;
-  sopts.client_counts = cells;
-  // sclint:allow(det-wallclock) wall-clock speedup is what this bench reports
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runScalability(measure::Method::kShadowsocks, sopts);
-  const double serial_s = secondsSince(serial_start);
-  const measure::ParallelRunner runner(threads_req);
-  // sclint:allow(det-wallclock) wall-clock speedup is what this bench reports
-  const auto par_start = std::chrono::steady_clock::now();
-  const auto parallel = measure::runScalabilityParallel(
-      measure::Method::kShadowsocks, sopts, runner.threads());
-  const double parallel_s = secondsSince(par_start);
-  const bool campaign_match = samePoints(serial, parallel);
-  std::printf(
-      "  campaign: serial %.2fs, parallel %.2fs on %u threads (%.2fx), "
-      "results %s\n",
-      serial_s, parallel_s, runner.threads(),
-      parallel_s > 0 ? serial_s / parallel_s : 0,
-      campaign_match ? "match" : "DIFFER");
+  const auto campaign = bench::runCampaignSweepIdentity(
+      measure::Method::kShadowsocks, cells, threads);
+  campaign.print();
 
-  std::FILE* out = std::fopen("BENCH_gfw.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_gfw.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_gfw.json");
+  if (!jw.ok()) return 1;
   jw.beginObject("inspect")
       .field("packets", new_done)
       .field("corpus_payloads", corpus.size())
@@ -528,18 +482,7 @@ int main() {
       .field("throughput_retained", retained)
       .field("verdict_hash_churn", hex64(churn_hash))
       .endObject();
-  jw.beginObject("campaign");
-  jw.beginArray("client_counts");
-  for (const int c : cells) jw.element(c);
-  jw.endArray();
-  jw.field("threads", runner.threads())
-      .field("serial_seconds", serial_s)
-      .field("parallel_seconds", parallel_s)
-      .field("speedup", parallel_s > 0 ? serial_s / parallel_s : 0)
-      .field("parallel_matches_serial", campaign_match)
-      .endObject();
-  jw.endObject();
-  std::fclose(out);
-  std::printf("  -> BENCH_gfw.json\n");
-  return verdicts_match && campaign_match ? 0 : 1;
+  campaign.write(jw);
+  jw.close();
+  return verdicts_match && campaign.runs.match ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 //                                     (default 60)
 //   SC_BENCH_POP_VALIDATION_ACCESSES  packet accesses per method (default 40)
 //   SC_BENCH_THREADS                  parallel workers (default hardware)
-#include <chrono>
 #include <cmath>
 
 #include "bench_common.h"
@@ -29,27 +28,12 @@
 
 namespace {
 
-// sclint:allow(det-wallclock) accesses/sec of wall time is the reported figure
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) accesses/sec of wall time is the reported figure
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-bool samePopulationResults(
-    const std::vector<sc::measure::PopulationCellResult>& x,
-    const std::vector<sc::measure::PopulationCellResult>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].background_digest != y[i].background_digest ||
-        x[i].cohort_attempts != y[i].cohort_attempts ||
-        x[i].cohort_successes != y[i].cohort_successes ||
-        x[i].cache_hits != y[i].cache_hits ||
-        x[i].metrics_jsonl != y[i].metrics_jsonl)
-      return false;
-  }
-  return true;
+bool samePopulationCell(const sc::measure::PopulationCellResult& x,
+                        const sc::measure::PopulationCellResult& y) {
+  return x.background_digest == y.background_digest &&
+         x.cohort_attempts == y.cohort_attempts &&
+         x.cohort_successes == y.cohort_successes &&
+         x.cache_hits == y.cache_hits && x.metrics_jsonl == y.metrics_jsonl;
 }
 
 }  // namespace
@@ -62,8 +46,7 @@ int main() {
   const int day_s = bench::intFromEnv("SC_BENCH_POP_DAY_S", 60);
   const int val_accesses =
       bench::intFromEnv("SC_BENCH_POP_VALIDATION_ACCESSES", 40);
-  const unsigned threads = measure::ParallelRunner(bench::threadsFromEnv())
-                               .threads();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("Population scale — %d flow-level scholars over the packet "
               "testbed (%u threads)\n",
@@ -80,7 +63,8 @@ int main() {
     v.accesses = val_accesses;
     vcells.push_back(v);
   }
-  const auto validations = measure::runValidationCells(vcells, threads);
+  const auto validations =
+      measure::runCells(vcells, threads, measure::runValidationCell);
   bool flow_matches_packet = true;
   std::printf("  validation (packet -> flow, %d accesses/method):\n",
               val_accesses);
@@ -106,10 +90,9 @@ int main() {
   scale.duration = day_s * sim::kSecond;
   scale.cohort_users = 0;
 
-  // sclint:allow(det-wallclock) accesses/sec of wall time is the reported figure
-  const auto scale_start = std::chrono::steady_clock::now();
+  const bench::Stopwatch scale_clock;
   const auto scale_result = measure::runPopulationCell(scale);
-  const double scale_wall_s = secondsSince(scale_start);
+  const double scale_wall_s = scale_clock.seconds();
   const auto& bg = scale_result.background_stats;
   const double accesses_per_sec =
       scale_wall_s <= 0 ? 0 : static_cast<double>(bg.arrivals) / scale_wall_s;
@@ -162,7 +145,13 @@ int main() {
     h.sc_adoption = 0.0;
     hybrid_cells.push_back(h);
   }
-  const auto hybrid = measure::runPopulationCells(hybrid_cells, threads);
+  const auto identity = bench::checkParallelIdentity(
+      threads,
+      [&](unsigned t) {
+        return measure::runCells(hybrid_cells, t, measure::runPopulationCell);
+      },
+      samePopulationCell);
+  const auto& hybrid = identity.parallel;
   const auto& control = hybrid[0];
   const auto& coupled = hybrid[1];
   const bool background_warms_cache = coupled.cache_hits > control.cache_hits;
@@ -185,21 +174,14 @@ int main() {
       static_cast<unsigned long long>(coupled.cache_hits),
       control.final_fleet_size, coupled.final_fleet_size);
 
-  // ---- 4. serial-vs-parallel byte identity -----------------------------
-  const auto hybrid_serial = measure::runPopulationCells(hybrid_cells, 1);
-  const bool parallel_matches_serial =
-      samePopulationResults(hybrid, hybrid_serial);
+  // ---- 4. serial-vs-parallel byte identity (stage 3 ran both) ----------
+  const bool parallel_matches_serial = identity.match;
   std::printf("  determinism: parallel %s serial (digest %016llx)\n",
               parallel_matches_serial ? "matches" : "DIFFERS",
               static_cast<unsigned long long>(coupled.background_digest));
 
-  std::FILE* out = std::fopen("BENCH_population.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_population.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_population.json");
+  if (!jw.ok()) return 1;
   jw.beginObject("config")
       .field("scholars", scholars)
       .field("day_s", day_s)
@@ -256,13 +238,11 @@ int main() {
       .field("cohort_survives_population", cohort_survives_population)
       .field("parallel_matches_serial", parallel_matches_serial)
       .endObject();
-  jw.endObject();
-  std::fclose(out);
+  jw.close();
 
   const bool ok = flow_matches_packet && scale_completed &&
                   background_warms_cache && background_drives_fleet &&
                   cohort_survives_population && parallel_matches_serial;
-  std::printf("  BENCH_population.json written; %s\n",
-              ok ? "all checks pass" : "CHECKS FAILED");
+  std::printf("  %s\n", ok ? "all checks pass" : "CHECKS FAILED");
   return ok ? 0 : 1;
 }

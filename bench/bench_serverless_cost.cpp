@@ -34,7 +34,6 @@
 //   SC_BENCH_SL_DURATION_S  sim duration, seconds       (default 120)
 //   SC_BENCH_THREADS        parallel workers            (default hardware)
 #include <algorithm>
-#include <chrono>
 
 #include "bench_common.h"
 #include "chaos/scripts.h"
@@ -45,27 +44,13 @@
 
 namespace {
 
-// sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-bool sameResults(const std::vector<sc::measure::ServerlessCellResult>& x,
-                 const std::vector<sc::measure::ServerlessCellResult>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].attempts != y[i].attempts || x[i].successes != y[i].successes ||
-        x[i].spawns != y[i].spawns || x[i].bans != y[i].bans ||
-        x[i].endpoint_seconds != y[i].endpoint_seconds ||
-        x[i].cost_units != y[i].cost_units ||
-        x[i].metrics_jsonl != y[i].metrics_jsonl ||
-        x[i].trace_jsonl != y[i].trace_jsonl)
-      return false;
-  }
-  return true;
+bool sameCell(const sc::measure::ServerlessCellResult& x,
+              const sc::measure::ServerlessCellResult& y) {
+  return x.attempts == y.attempts && x.successes == y.successes &&
+         x.spawns == y.spawns && x.bans == y.bans &&
+         x.endpoint_seconds == y.endpoint_seconds &&
+         x.cost_units == y.cost_units && x.metrics_jsonl == y.metrics_jsonl &&
+         x.trace_jsonl == y.trace_jsonl;
 }
 
 struct FrontierRow {
@@ -85,8 +70,7 @@ int main() {
   const int day_s = bench::intFromEnv("SC_BENCH_SL_DAY_S", 10);
   const int bans = bench::intFromEnv("SC_BENCH_SL_BANS", 6);
   const int duration_s = bench::intFromEnv("SC_BENCH_SL_DURATION_S", 120);
-  const unsigned threads =
-      measure::ParallelRunner(bench::threadsFromEnv()).threads();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("Serverless — cost vs blocked-rate under a per-endpoint ban "
               "wave (%d bans)\n", bans);
@@ -109,15 +93,14 @@ int main() {
   cells[1].max_live = cells[1].prewarm;
   cells[1].ttl = 0;  // no reaping: bans are the only thing that kills it
 
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  const auto par_start = std::chrono::steady_clock::now();
-  const auto results = measure::runServerlessCells(cells, threads);
-  const double parallel_s = secondsSince(par_start);
-  // sclint:allow(det-wallclock) parallel-vs-serial wall time is what this bench reports
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = measure::runServerlessCells(cells, 1);
-  const double serial_s = secondsSince(serial_start);
-  const bool match = sameResults(results, serial);
+  const auto identity = bench::checkParallelIdentity(
+      threads,
+      [&](unsigned t) {
+        return measure::runCells(cells, t, measure::runServerlessCell);
+      },
+      sameCell);
+  const auto& results = identity.parallel;
+  const bool match = identity.match;
 
   const auto& ephem = results[0];
   const auto& frozen = results[1];
@@ -158,7 +141,8 @@ int main() {
     // IP (one ban exhausts their static set; the rest go unhandled).
     c.ban_method_endpoint = true;
   }
-  const auto base_results = measure::runChaosCells(baselines, threads);
+  const auto base_results =
+      measure::runCells(baselines, threads, measure::runChaosCell);
 
   // Dedicated servers bill for the whole cell whether or not they answer.
   // Server counts per world: SC fleet = fleet_size endpoints + 1 domestic
@@ -212,15 +196,11 @@ int main() {
               ephem.cold_start_mean_ms, ephem.cold_start_max_ms, cold_min_ms,
               cold_max_ms, cold_ok ? "ok" : "OUT OF BOUNDS");
   std::printf("  parallel %s (%.2fs vs %.2fs serial on %u threads)\n",
-              match ? "matches" : "DIFFERS", parallel_s, serial_s, threads);
+              match ? "matches" : "DIFFERS", identity.parallel_s,
+              identity.serial_s, threads);
 
-  std::FILE* out = std::fopen("BENCH_serverless.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_serverless.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_serverless.json");
+  if (!jw.ok()) return 1;
   jw.beginObject("config")
       .field("users", users)
       .field("day_s", day_s)
@@ -277,8 +257,6 @@ int main() {
       .field("cold_start_within_bounds", cold_ok)
       .field("frontier_methods", static_cast<int>(frontier.size()))
       .endObject();
-  jw.endObject();
-  std::fclose(out);
-  std::printf("  -> BENCH_serverless.json\n");
+  jw.close();
   return match && survives && static_dies ? 0 : 1;
 }

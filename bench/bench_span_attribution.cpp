@@ -15,7 +15,6 @@
 // passes tiny values):
 //   SC_BENCH_ACCESSES   accesses per method   (default 120)
 //   SC_BENCH_THREADS    parallel workers      (default hardware)
-#include <chrono>
 #include <map>
 
 #include "bench_common.h"
@@ -26,14 +25,6 @@
 namespace {
 
 using sc::measure::Method;
-
-// sclint:allow(det-wallclock) overhead is a wall-clock measurement of the host
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  // sclint:allow(det-wallclock) overhead is a wall-clock measurement of the host
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 struct MethodCell {
   Method method = Method::kDirect;
@@ -109,20 +100,18 @@ OverheadProbe runOverheadProbe(int accesses) {
   copts.measure_rtt = false;
   {
     sc::measure::Testbed tb;  // spans off (the default)
-    // sclint:allow(det-wallclock) wall-clock overhead is what this bench reports
-    const auto start = std::chrono::steady_clock::now();
+    const sc::bench::Stopwatch clock;
     sc::measure::runAccessCampaign(tb, Method::kScholarCloud, 300, copts);
-    probe.wall_off_s = secondsSince(start);
+    probe.wall_off_s = clock.seconds();
     probe.events_off = tb.sim().eventsExecuted();
   }
   {
     sc::measure::TestbedOptions topts;
     topts.spans = true;
     sc::measure::Testbed tb(topts);
-    // sclint:allow(det-wallclock) wall-clock overhead is what this bench reports
-    const auto start = std::chrono::steady_clock::now();
+    const sc::bench::Stopwatch clock;
     sc::measure::runAccessCampaign(tb, Method::kScholarCloud, 300, copts);
-    probe.wall_on_s = secondsSince(start);
+    probe.wall_on_s = clock.seconds();
     probe.events_on = tb.sim().eventsExecuted();
     probe.spans_recorded = tb.hub().spans().spans().size();
   }
@@ -136,9 +125,8 @@ int main(int argc, char** argv) {
   using namespace sc;
   bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
   if (!args.ok) return 2;
-  const int accesses =
-      args.accesses > 0 ? args.accesses : bench::accessesFromEnv();
-  const unsigned threads_req = bench::threadsFromEnv();
+  const int accesses = args.accessesOr();
+  const unsigned threads = bench::threadsFromEnv();
 
   std::printf("Span attribution — per-phase PLT breakdown, fig. 5 methods\n");
 
@@ -175,28 +163,26 @@ int main(int argc, char** argv) {
     trial.testbed.spans = true;
     trials.push_back(trial);
   }
-  const auto serial = measure::runCampaignTrials(trials, 1);
-  const measure::ParallelRunner runner(threads_req);
-  const auto parallel = measure::runCampaignTrials(trials, runner.threads());
-  bool identical = serial.size() == parallel.size();
+  const auto identity = bench::checkParallelIdentity(
+      threads,
+      [&](unsigned t) {
+        return measure::runCells(trials, t, measure::runCampaignTrial);
+      },
+      [](const measure::CampaignTrialResult& x,
+         const measure::CampaignTrialResult& y) {
+        return x.spans_jsonl == y.spans_jsonl && !x.spans_jsonl.empty();
+      });
+  const bool identical = identity.match;
   std::uint64_t serial_bytes = 0;
-  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
-    identical = serial[i].spans_jsonl == parallel[i].spans_jsonl &&
-                !serial[i].spans_jsonl.empty();
-    serial_bytes += serial[i].spans_jsonl.size();
-  }
+  for (const auto& trial : identity.serial)
+    serial_bytes += trial.spans_jsonl.size();
   std::printf("  identity: %zu cells on %u threads, span exports %s\n",
-              trials.size(), runner.threads(),
+              trials.size(), threads,
               identical ? "match" : "DIFFER");
 
   // ---- dump ----
-  std::FILE* out = std::fopen("BENCH_obs.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_obs.json\n");
-    return 1;
-  }
-  bench::JsonWriter jw(out);
-  jw.beginObject();
+  bench::JsonArtifact jw("BENCH_obs.json");
+  if (!jw.ok()) return 1;
   jw.field("accesses_per_method", accesses);
   jw.beginArray("methods");
   for (const auto& cell : cells) {
@@ -240,13 +226,11 @@ int main(int argc, char** argv) {
       .endObject();
   jw.beginObject("identity")
       .field("cells", trials.size())
-      .field("threads", runner.threads())
+      .field("threads", threads)
       .field("serial_span_bytes", serial_bytes)
       .field("parallel_matches_serial", identical)
       .endObject();
   jw.field("all_phase_sums_match", all_sums_match);
-  jw.endObject();
-  std::fclose(out);
-  std::printf("  -> BENCH_obs.json\n");
+  jw.close();
   return (all_sums_match && identical) ? 0 : 1;
 }

@@ -8,56 +8,15 @@
 
 #include "chaos/engine.h"
 #include "chaos/injector.h"
-#include "core/deployment.h"
-#include "core/domestic_proxy.h"
-#include "core/remote_proxy.h"
-#include "dns/server.h"
-#include "fleet/fleet.h"
-#include "gfw/gfw.h"
-#include "http/client.h"
-#include "http/server.h"
-#include "measure/calibration.h"
-#include "measure/parallel.h"
+#include "measure/cell_world.h"
 #include "measure/serverless_scenario.h"
-#include "net/topology.h"
 #include "obs/export.h"
-#include "obs/hub.h"
-#include "regulation/icp_registry.h"
 
 namespace sc::measure {
 
 namespace {
 
-constexpr const char* kChaosHost = "scholar.google.com";
-
-// The one place a chaos cell reports an access attempt's fate; both world
-// shapes funnel through here so the RecoveryTracker (and the exported
-// trace) see identical event grammar regardless of method.
-void traceAccess(sim::Simulator& sim, bool ok, sim::Time latency,
-                 std::uint32_t tag) {
-  obs::Tracer* tracer = obs::tracerOf(sim);
-  if (tracer == nullptr) return;
-  obs::Event ev;
-  ev.at = sim.now();
-  ev.type = obs::EventType::kAccessOutcome;
-  ev.what = ok ? "ok" : "fail";
-  ev.tag = tag;
-  ev.a = ok ? latency : -1;
-  tracer->record(std::move(ev));
-}
-
-void fillAggregates(const chaos::RecoveryTracker& tracker,
-                    ChaosCellResult& out) {
-  out.faults = tracker.faults();
-  out.impacted = tracker.impacted();
-  out.recovered = tracker.recovered();
-  out.unrecovered = tracker.unrecovered();
-  out.mean_detect_s = tracker.meanDetectSeconds();
-  out.mean_recover_s = tracker.meanRecoverSeconds();
-  out.max_recover_s = tracker.maxRecoverSeconds();
-  out.requests_lost = tracker.requestsLost();
-  out.records = tracker.records();
-}
+constexpr const char* kChaosHost = kScholarHost;
 
 // Baseline methods ride the full Testbed; the script can reach links and
 // GFW policy but there is no fleet to heal, which is the comparison.
@@ -141,88 +100,19 @@ ChaosCellResult runTestbedCell(const ChaosCellOptions& opt) {
   return out;
 }
 
-struct ChaosUser {
-  std::unique_ptr<transport::HostStack> stack;
-  explicit ChaosUser(net::Node& node)
-      : stack(std::make_unique<transport::HostStack>(node)) {}
-};
-
-// The fleet-backed ScholarCloud world (fleet_scenario's shape) with all
-// four injectors armed. "egress" resolves to the first live, not-yet-banned
-// endpoint at fire time — the GFW discovering an IP it can see.
+// The fleet-backed ScholarCloud world (FleetWorld) with all four injectors
+// armed. "egress" resolves to the first live, not-yet-banned endpoint at
+// fire time — the GFW discovering an IP it can see.
 ChaosCellResult runFleetChaosCell(const ChaosCellOptions& opt) {
-  sim::Simulator sim(opt.seed);
-  obs::Hub hub(sim);
-  hub.tracer().enable(opt.trace_capacity);
-  net::Network network(sim);
-  net::World world(network, calibratedWorld());
-
-  chaos::RecoveryTracker tracker(sim, opt.script);
-  tracker.attachTo(hub.tracer());
-
-  auto& dns_node = world.addUsServer("us-dns");
-  transport::HostStack dns_stack(dns_node);
-  dns::DnsServer us_dns(dns_stack);
-  const net::Ipv4 us_dns_ip = dns_node.primaryIp();
-
-  auto& origin_node = world.addUsServer("scholar-origin");
-  transport::HostStack origin_stack(origin_node, 2.3e9);
-  http::HttpServer origin(origin_stack, {});
-  origin.setDefaultHandler(
-      [](const http::Request&, http::HttpServer::Respond respond) {
-        http::Response resp;
-        resp.body = Bytes(2048, static_cast<std::uint8_t>('s'));
-        resp.headers.set("content-type", "text/html");
-        respond(std::move(resp));
-      });
-  us_dns.addRecord(kChaosHost, origin_node.primaryIp());
-
-  gfw::Gfw gfw(network, calibratedGfw());
-  gfw.attachTo(world.borderLink(), net::Direction::kAtoB);
-  gfw.domains().add("google.com");
-  gfw.ips().add(origin_node.primaryIp());
-  regulation::IcpRegistry registry;
-  gfw.setIcpLookup(
-      [&registry](net::Ipv4 ip) { return registry.isRegistered(ip); });
-
-  const Bytes secret = toBytes("scholarcloud-operator-secret");
-
-  std::vector<std::unique_ptr<transport::HostStack>> remote_stacks;
-  std::vector<std::unique_ptr<core::RemoteProxy>> remote_proxies;
-
-  auto& domestic_node = world.addCampusServer("sc-domestic");
-  transport::HostStack domestic_stack(domestic_node, 2.3e9);
-  core::DomesticProxyOptions dom_opts;
-  dom_opts.tunnel_secret = secret;  // remote stays zero: fleet-only mode
-  dom_opts.whitelist = {kChaosHost};
-  core::DomesticProxy proxy(domestic_stack, dom_opts, Testbed::kScTunnelTag);
-  core::Deployment deployment(proxy);
-  proxy.setIcpNumber(registry.approve(deployment.buildApplication()));
-
   fleet::FleetOptions fopts;
   fopts.initial_size = opt.fleet_size;
-  fopts.tunnel_secret = secret;
-  const net::Ipv4 domestic_ip = domestic_node.primaryIp();
-  auto spawn = [&world, &remote_stacks, &remote_proxies, us_dns_ip,
-                domestic_ip, secret](int seq)
-      -> std::optional<fleet::EndpointSpawn> {
-    const std::string name = "fleet-remote-" + std::to_string(seq);
-    auto& node = world.addUsServer(name);
-    auto stack = std::make_unique<transport::HostStack>(node, 2.3e9);
-    core::RemoteProxyOptions ropts;
-    ropts.tunnel_secret = secret;
-    ropts.dns_server = us_dns_ip;
-    ropts.authorized_peers = {domestic_ip};
-    remote_proxies.push_back(
-        std::make_unique<core::RemoteProxy>(*stack, ropts));
-    remote_stacks.push_back(std::move(stack));
-    return fleet::EndpointSpawn{net::Endpoint{node.primaryIp(), 443}, name};
-  };
-  auto& fl = deployment.spawnFleet<fleet::Fleet>(
-      domestic_stack, fopts, spawn, Testbed::kScTunnelTag);
-  gfw.ips().setOnChange([&fl] { fl.onBlocklistChurn(); });
+  FleetWorld w(opt.seed, opt.trace_capacity, &opt.script, fopts,
+               "fleet-remote-");
+  sim::Simulator& sim = w.sim;
+  fleet::Fleet& fl = w.fleet;
+  gfw::Gfw& gfw = w.gfw;
 
-  chaos::LinkInjector link_inj(network);
+  chaos::LinkInjector link_inj(w.network);
   chaos::GfwInjector gfw_inj(
       gfw, [&fl, &gfw, &sim](const std::string& target)
                -> std::optional<net::Ipv4> {
@@ -232,7 +122,7 @@ ChaosCellResult runFleetChaosCell(const ChaosCellOptions& opt) {
         return std::nullopt;
       });
   chaos::FleetInjector fleet_inj(fl);
-  chaos::DnsInjector dns_inj(us_dns, "us-dns");
+  chaos::DnsInjector dns_inj(w.us_dns, "us-dns");
   chaos::ChaosEngine engine(sim, opt.script);
   engine.addInjector(&link_inj);
   engine.addInjector(&fleet_inj);
@@ -241,55 +131,36 @@ ChaosCellResult runFleetChaosCell(const ChaosCellOptions& opt) {
   engine.arm();
 
   ChaosCellResult out;
-  const net::Endpoint proxy_ep = proxy.proxyEndpoint();
-  std::vector<std::unique_ptr<ChaosUser>> users;
-  std::function<void(ChaosUser&)> fetch = [&](ChaosUser& user) {
-    ChaosUser* u = &user;  // stable: users holds unique_ptrs
-    ++out.attempts;
-    const sim::Time started = sim.now();
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-    const auto next = [&, u, started](bool ok) {
-      if (ok) ++out.successes;
-      traceAccess(sim, ok, sim.now() - started, Testbed::kScTunnelTag);
-      sim.schedule(opt.access_interval, [&fetch, u] { fetch(*u); });
-    };
-    *holder = u->stack->tcpConnect(proxy_ep, [&, holder, next](bool ok) {
-      if (!ok || *holder == nullptr) {
-        next(false);
-        return;
-      }
-      http::Request req;
-      req.target = std::string("http://") + kChaosHost + "/";
-      req.headers.set("host", kChaosHost);
-      http::HttpClient::fetchOn(
-          *holder, sim, std::move(req), opt.fetch_timeout,
-          [holder, next](std::optional<http::Response> resp) {
-            (*holder)->close();
-            next(resp.has_value() && resp->status == 200);
-          });
-    });
-  };
+  const net::Endpoint proxy_ep = w.proxy.proxyEndpoint();
+  std::vector<std::unique_ptr<transport::HostStack>> users;
+  // `u` stays valid: users holds unique_ptrs.
+  std::function<void(transport::HostStack*)> fetch =
+      [&](transport::HostStack* u) {
+        ++out.attempts;
+        const sim::Time started = sim.now();
+        fetchThroughProxy(
+            *u, sim, proxy_ep, opt.fetch_timeout, [&, u, started](bool ok) {
+              if (ok) ++out.successes;
+              traceAccess(sim, ok, sim.now() - started,
+                          Testbed::kScTunnelTag);
+              sim.schedule(opt.access_interval, [&fetch, u] { fetch(u); });
+            });
+      };
   for (int i = 0; i < opt.users; ++i) {
-    auto& node = world.addCampusHost("chaos-user-" + std::to_string(i));
-    users.push_back(std::make_unique<ChaosUser>(node));
-    ChaosUser* u = users.back().get();
+    auto& node = w.world.addCampusHost("chaos-user-" + std::to_string(i));
+    users.push_back(std::make_unique<transport::HostStack>(node));
+    transport::HostStack* u = users.back().get();
     const sim::Time stagger = (i + 1) * 250 * sim::kMillisecond;
-    sim.schedule(stagger, [&fetch, u] { fetch(*u); });
+    sim.schedule(stagger, [&fetch, u] { fetch(u); });
   }
 
   sim.runUntil(opt.duration);
 
-  out.success_ratio =
-      out.attempts == 0 ? 0.0
-                        : static_cast<double>(out.successes) / out.attempts;
+  out.success_ratio = successRatio(out.successes, out.attempts);
   out.respawns = fl.respawns();
-  fillAggregates(tracker, out);
-  std::ostringstream metrics;
-  obs::writeMetricsJsonl(hub.registry(), metrics);
-  out.metrics_jsonl = std::move(metrics).str();
-  std::ostringstream trace;
-  obs::writeTraceJsonl(hub.tracer(), trace);
-  out.trace_jsonl = std::move(trace).str();
+  fillAggregates(*w.tracker, out);
+  out.metrics_jsonl = w.metricsJsonl();
+  out.trace_jsonl = w.traceJsonl();
   return out;
 }
 
@@ -332,15 +203,6 @@ ChaosCellResult runChaosCell(const ChaosCellOptions& options) {
   if (options.method == Method::kScholarCloud && options.fleet)
     return runFleetChaosCell(options);
   return runTestbedCell(options);
-}
-
-std::vector<ChaosCellResult> runChaosCells(
-    const std::vector<ChaosCellOptions>& cells, unsigned threads) {
-  std::vector<ChaosCellResult> results(cells.size());
-  ParallelRunner(threads).forEachIndex(cells.size(), [&](std::size_t i) {
-    results[i] = runChaosCell(cells[i]);
-  });
-  return results;
 }
 
 }  // namespace sc::measure

@@ -1,14 +1,15 @@
 // Chaos sweep world: one access method living through a scripted fault
 // timeline, with recovery measured from the trace stream.
 //
-// Two world shapes behind one cell interface:
+// Three world shapes behind one cell interface:
 //   - baseline methods (native VPN, OpenVPN, Tor, Shadowsocks, direct) run
 //     inside a full Testbed with Link + GFW injectors armed;
-//   - kScholarCloud with `fleet` set runs the fleet_scenario-style world
-//     (domestic proxy in fleet-only mode, RemoteProxy endpoints on fresh US
-//     IPs) with all four injectors, so "egress" IP bans and "fleet:any"
-//     crashes land on live endpoints and the retire/respawn loop is the
-//     recovery under test.
+//   - kScholarCloud with `fleet` set runs the shared FleetWorld
+//     (measure/cell_world.h: domestic proxy in fleet-only mode, RemoteProxy
+//     endpoints on fresh US IPs) with all four injectors, so "egress" IP
+//     bans and "fleet:any" crashes land on live endpoints and the
+//     retire/respawn loop is the recovery under test;
+//   - kServerless runs the serverless world (serverless_scenario.h).
 //
 // Tracing is always on in a chaos cell: the RecoveryTracker hangs off the
 // tracer sink, and the exported trace/metrics JSONL are the byte-identity
@@ -67,11 +68,8 @@ struct ChaosCellResult {
   std::string trace_jsonl;
 };
 
+// Cells fan out with runCells(cells, threads, runChaosCell)
+// (measure/parallel.h), byte-identical to a sequential run.
 ChaosCellResult runChaosCell(const ChaosCellOptions& options);
-
-// Runs each cell across `threads` workers; results in cell order,
-// byte-identical to a sequential run.
-std::vector<ChaosCellResult> runChaosCells(
-    const std::vector<ChaosCellOptions>& cells, unsigned threads = 0);
 
 }  // namespace sc::measure

@@ -51,13 +51,9 @@ void ParallelRunner::forEachIndex(
 
 std::vector<ScalabilityPoint> runScalabilityParallel(
     Method method, ScalabilityOptions options, unsigned threads) {
-  std::vector<ScalabilityPoint> points(options.client_counts.size());
-  ParallelRunner(threads).forEachIndex(
-      options.client_counts.size(), [&](std::size_t i) {
-        points[i] =
-            runScalabilityPoint(method, options.client_counts[i], options);
-      });
-  return points;
+  return runCells(options.client_counts, threads, [&](int clients) {
+    return runScalabilityPoint(method, clients, options);
+  });
 }
 
 CampaignTrialResult runCampaignTrial(const CampaignTrial& trial) {
@@ -78,15 +74,6 @@ CampaignTrialResult runCampaignTrial(const CampaignTrial& trial) {
     out.spans_jsonl = std::move(spans).str();
   }
   return out;
-}
-
-std::vector<CampaignTrialResult> runCampaignTrials(
-    const std::vector<CampaignTrial>& trials, unsigned threads) {
-  std::vector<CampaignTrialResult> results(trials.size());
-  ParallelRunner(threads).forEachIndex(trials.size(), [&](std::size_t i) {
-    results[i] = runCampaignTrial(trials[i]);
-  });
-  return results;
 }
 
 }  // namespace sc::measure

@@ -1,16 +1,18 @@
 // Parallel campaign executor.
 //
 // Every cell of a measurement sweep — one (method, client_count, seed) point
-// of runScalability, or one trial of a multi-trial access campaign — builds
-// its own Testbed with its own Simulator, obs::Hub, and Rng. Cells share no
-// mutable state, so they are embarrassingly parallel: ParallelRunner fans
-// them across hardware threads and merges results in deterministic cell
-// order. Output is byte-identical regardless of thread count (including 1);
-// parallelism changes only wall-clock time, never results.
+// of runScalability, one trial of a multi-trial access campaign, or one
+// scenario world (fleet, population, chaos, serverless) — builds its own
+// world with its own Simulator, obs::Hub, and Rng. Cells share no mutable
+// state, so they are embarrassingly parallel: runCells fans them across
+// hardware threads and merges results in deterministic cell order. Output
+// is byte-identical regardless of thread count (including 1); parallelism
+// changes only wall-clock time, never results.
 #pragma once
 
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "measure/campaign.h"
@@ -35,6 +37,18 @@ class ParallelRunner {
  private:
   unsigned threads_;
 };
+
+// The one cell runner: run(cells[0]) ... run(cells[n-1]) across `threads`
+// workers (0 = hardware), results in cell order. Every scenario cell builds
+// its own world, so the results are byte-identical to a sequential loop for
+// any thread count.
+template <class Cell, class Run>
+auto runCells(const std::vector<Cell>& cells, unsigned threads, Run run) {
+  std::vector<std::invoke_result_t<Run&, const Cell&>> results(cells.size());
+  ParallelRunner(threads).forEachIndex(
+      cells.size(), [&](std::size_t i) { results[i] = run(cells[i]); });
+  return results;
+}
 
 // Fig. 7 sweep with one worker per (method, client_count, seed) cell.
 // Results arrive in options.client_counts order — byte-identical to
@@ -62,9 +76,5 @@ struct CampaignTrialResult {
 };
 
 CampaignTrialResult runCampaignTrial(const CampaignTrial& trial);
-
-// Runs each trial cell across `threads` workers; results in trial order.
-std::vector<CampaignTrialResult> runCampaignTrials(
-    const std::vector<CampaignTrial>& trials, unsigned threads = 0);
 
 }  // namespace sc::measure

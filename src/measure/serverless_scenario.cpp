@@ -4,22 +4,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "chaos/engine.h"
 #include "chaos/injector.h"
 #include "core/domestic_proxy.h"
-#include "dns/server.h"
-#include "gfw/gfw.h"
-#include "http/client.h"
-#include "http/server.h"
-#include "measure/calibration.h"
-#include "measure/parallel.h"
-#include "net/topology.h"
-#include "obs/export.h"
-#include "obs/hub.h"
-#include "regulation/icp_registry.h"
+#include "measure/cell_world.h"
 #include "serverless/cost.h"
 #include "serverless/dispatcher.h"
 #include "serverless/provider.h"
@@ -27,65 +17,12 @@
 
 namespace sc::measure {
 
-namespace {
-
-constexpr const char* kHost = "scholar.google.com";
-
-void traceAccess(sim::Simulator& sim, bool ok, sim::Time latency,
-                 std::uint32_t tag) {
-  obs::Tracer* tracer = obs::tracerOf(sim);
-  if (tracer == nullptr) return;
-  obs::Event ev;
-  ev.at = sim.now();
-  ev.type = obs::EventType::kAccessOutcome;
-  ev.what = ok ? "ok" : "fail";
-  ev.tag = tag;
-  ev.a = ok ? latency : -1;
-  tracer->record(std::move(ev));
-}
-
-struct CellUser {
-  std::unique_ptr<transport::HostStack> stack;
-  explicit CellUser(net::Node& node)
-      : stack(std::make_unique<transport::HostStack>(node)) {}
-};
-
-}  // namespace
-
 ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
-  sim::Simulator sim(opt.seed);
-  obs::Hub hub(sim);
-  hub.tracer().enable(opt.trace_capacity);
-  net::Network network(sim);
-  net::World world(network, calibratedWorld());
-
-  chaos::RecoveryTracker tracker(sim, opt.script);
-  tracker.attachTo(hub.tracer());
-
-  auto& dns_node = world.addUsServer("us-dns");
-  transport::HostStack dns_stack(dns_node);
-  dns::DnsServer us_dns(dns_stack);
-  const net::Ipv4 us_dns_ip = dns_node.primaryIp();
-
-  auto& origin_node = world.addUsServer("scholar-origin");
-  transport::HostStack origin_stack(origin_node, 2.3e9);
-  http::HttpServer origin(origin_stack, {});
-  origin.setDefaultHandler(
-      [](const http::Request&, http::HttpServer::Respond respond) {
-        http::Response resp;
-        resp.body = Bytes(2048, static_cast<std::uint8_t>('s'));
-        resp.headers.set("content-type", "text/html");
-        respond(std::move(resp));
-      });
-  us_dns.addRecord(kHost, origin_node.primaryIp());
-
-  gfw::Gfw gfw(network, calibratedGfw());
-  gfw.attachTo(world.borderLink(), net::Direction::kAtoB);
-  gfw.domains().add("google.com");
-  gfw.ips().add(origin_node.primaryIp());
-  regulation::IcpRegistry registry;
-  gfw.setIcpLookup(
-      [&registry](net::Ipv4 ip) { return registry.isRegistered(ip); });
+  CellWorld w(opt.seed, opt.trace_capacity, &opt.script);
+  sim::Simulator& sim = w.sim;
+  net::World& world = w.world;
+  gfw::Gfw& gfw = w.gfw;
+  const net::Ipv4 us_dns_ip = w.dns_stack.node().primaryIp();
 
   const Bytes secret = toBytes("serverless-dispatch-secret");
 
@@ -96,7 +33,7 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   transport::HostStack gateway_stack(gateway_node, 2.3e9);
   core::DomesticProxyOptions gw_opts;
   gw_opts.tunnel_secret = secret;  // remote stays zero: provider-only mode
-  gw_opts.whitelist = {kHost};
+  gw_opts.whitelist = {kScholarHost};
   core::DomesticProxy gateway(gateway_stack, gw_opts,
                               Testbed::kServerlessTunnelTag);
 
@@ -137,7 +74,7 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   gateway.setTunnelProvider(&dispatcher);
   gfw.ips().setOnChange([&dispatcher] { dispatcher.onBlocklistChurn(); });
 
-  chaos::LinkInjector link_inj(network);
+  chaos::LinkInjector link_inj(w.network);
   // "egress" resolves to the first warm, not-yet-banned endpoint IP at fire
   // time — the GFW discovering an IP it can see traffic to.
   chaos::GfwInjector gfw_inj(
@@ -151,7 +88,7 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
         }
         return std::nullopt;
       });
-  chaos::DnsInjector dns_inj(us_dns, "us-dns");
+  chaos::DnsInjector dns_inj(w.us_dns, "us-dns");
   chaos::ChaosEngine engine(sim, opt.script);
   engine.addInjector(&link_inj);
   engine.addInjector(&dns_inj);
@@ -164,51 +101,37 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
 
   ServerlessCellResult out;
   const net::Endpoint gateway_ep = gateway.proxyEndpoint();
-  std::vector<std::unique_ptr<CellUser>> users;
-  std::function<void(CellUser&)> fetch = [&](CellUser& user) {
-    CellUser* u = &user;  // stable: users holds unique_ptrs
-    ++out.attempts;
-    const sim::Time started = sim.now();
-    const bool after_wave = started > last_fault_at;
-    if (after_wave) ++out.attempts_after_last_fault;
-    auto holder = std::make_shared<transport::TcpSocket::Ptr>();
-    const auto next = [&, u, started, after_wave](bool ok) {
-      if (ok) {
-        ++out.successes;
-        if (after_wave) ++out.successes_after_last_fault;
-      }
-      traceAccess(sim, ok, sim.now() - started, Testbed::kServerlessTunnelTag);
-      sim.schedule(opt.access_interval, [&fetch, u] { fetch(*u); });
-    };
-    *holder = u->stack->tcpConnect(gateway_ep, [&, holder, next](bool ok) {
-      if (!ok || *holder == nullptr) {
-        next(false);
-        return;
-      }
-      http::Request req;
-      req.target = std::string("http://") + kHost + "/";
-      req.headers.set("host", kHost);
-      http::HttpClient::fetchOn(
-          *holder, sim, std::move(req), opt.fetch_timeout,
-          [holder, next](std::optional<http::Response> resp) {
-            (*holder)->close();
-            next(resp.has_value() && resp->status == 200);
-          });
-    });
-  };
+  std::vector<std::unique_ptr<transport::HostStack>> users;
+  // `u` stays valid: users holds unique_ptrs.
+  std::function<void(transport::HostStack*)> fetch =
+      [&](transport::HostStack* u) {
+        ++out.attempts;
+        const sim::Time started = sim.now();
+        const bool after_wave = started > last_fault_at;
+        if (after_wave) ++out.attempts_after_last_fault;
+        fetchThroughProxy(
+            *u, sim, gateway_ep, opt.fetch_timeout,
+            [&, u, started, after_wave](bool ok) {
+              if (ok) {
+                ++out.successes;
+                if (after_wave) ++out.successes_after_last_fault;
+              }
+              traceAccess(sim, ok, sim.now() - started,
+                          Testbed::kServerlessTunnelTag);
+              sim.schedule(opt.access_interval, [&fetch, u] { fetch(u); });
+            });
+      };
   for (int i = 0; i < opt.users; ++i) {
     auto& node = world.addCampusHost("fn-user-" + std::to_string(i));
-    users.push_back(std::make_unique<CellUser>(node));
-    CellUser* u = users.back().get();
+    users.push_back(std::make_unique<transport::HostStack>(node));
+    transport::HostStack* u = users.back().get();
     const sim::Time stagger = (i + 1) * 250 * sim::kMillisecond;
-    sim.schedule(stagger, [&fetch, u] { fetch(*u); });
+    sim.schedule(stagger, [&fetch, u] { fetch(u); });
   }
 
   sim.runUntil(opt.duration);
 
-  out.success_ratio =
-      out.attempts == 0 ? 0.0
-                        : static_cast<double>(out.successes) / out.attempts;
+  out.success_ratio = successRatio(out.successes, out.attempts);
   cost.publish();
   out.endpoint_seconds = cost.endpointSeconds();
   out.cost_units = cost.totalCost();
@@ -222,34 +145,12 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   out.final_live = provider.liveCount();
   out.final_connected = dispatcher.connectedCount();
   out.border_bytes =
-      network.tagStats(Testbed::kServerlessTunnelTag).bytes_originated;
+      w.network.tagStats(Testbed::kServerlessTunnelTag).bytes_originated;
 
-  out.faults = tracker.faults();
-  out.impacted = tracker.impacted();
-  out.recovered = tracker.recovered();
-  out.unrecovered = tracker.unrecovered();
-  out.mean_detect_s = tracker.meanDetectSeconds();
-  out.mean_recover_s = tracker.meanRecoverSeconds();
-  out.max_recover_s = tracker.maxRecoverSeconds();
-  out.requests_lost = tracker.requestsLost();
-  out.records = tracker.records();
-
-  std::ostringstream metrics;
-  obs::writeMetricsJsonl(hub.registry(), metrics);
-  out.metrics_jsonl = std::move(metrics).str();
-  std::ostringstream trace;
-  obs::writeTraceJsonl(hub.tracer(), trace);
-  out.trace_jsonl = std::move(trace).str();
+  fillAggregates(*w.tracker, out);
+  out.metrics_jsonl = w.metricsJsonl();
+  out.trace_jsonl = w.traceJsonl();
   return out;
-}
-
-std::vector<ServerlessCellResult> runServerlessCells(
-    const std::vector<ServerlessCellOptions>& cells, unsigned threads) {
-  std::vector<ServerlessCellResult> results(cells.size());
-  ParallelRunner(threads).forEachIndex(cells.size(), [&](std::size_t i) {
-    results[i] = runServerlessCell(cells[i]);
-  });
-  return results;
 }
 
 }  // namespace sc::measure

@@ -1,12 +1,13 @@
 // Serverless chaos/cost world: the ephemeral-endpoint method living through
 // a scripted fault timeline, with the cost meter running.
 //
-// One world shape (mirroring the fleet chaos world): a domestic dispatcher
-// gateway in provider-only mode, FunctionRuntime endpoints spawned on fresh
-// US IPs behind the fronted SNI, Link + GFW injectors armed so "egress" IP
-// bans land on live endpoint IPs, and raw absolute-form GET users hammering
-// the gateway. Two configurations of the same world make the headline
-// comparison:
+// One world shape, on the same CellWorld base as the fleet worlds
+// (measure/cell_world.h: US resolver, scholar origin, border GFW): a
+// domestic dispatcher gateway in provider-only mode, FunctionRuntime
+// endpoints spawned on fresh US IPs behind the fronted SNI, Link + GFW
+// injectors armed so "egress" IP bans land on live endpoint IPs, and raw
+// absolute-form GET users hammering the gateway. Two configurations of the
+// same world make the headline comparison:
 //   - respawn on (the method): banned endpoints are retired and replaced on
 //     fresh IPs — success rate recovers after every ban in the wave;
 //   - respawn off (the static baseline): the same ban wave permanently
@@ -78,11 +79,9 @@ struct ServerlessCellResult {
   std::string trace_jsonl;
 };
 
+// Each cell owns its Simulator + Hub, so runCells(cells, threads,
+// runServerlessCell) (measure/parallel.h) is byte-identical to a
+// sequential run.
 ServerlessCellResult runServerlessCell(const ServerlessCellOptions& options);
-
-// Runs each cell across `threads` workers; results in cell order,
-// byte-identical to a sequential run (each cell owns its Simulator + Hub).
-std::vector<ServerlessCellResult> runServerlessCells(
-    const std::vector<ServerlessCellOptions>& cells, unsigned threads = 0);
 
 }  // namespace sc::measure

@@ -14,6 +14,7 @@
 #include "gfw/gfw.h"
 #include "helpers.h"
 #include "measure/chaos_scenario.h"
+#include "measure/parallel.h"
 #include "obs/hub.h"
 
 namespace sc::chaos {
@@ -482,8 +483,8 @@ TEST(ChaosScenario, SameSeedSameBytesAnyThreadCount) {
     cells.push_back(c);
   }
 
-  const auto serial = measure::runChaosCells(cells, 1);
-  const auto parallel = measure::runChaosCells(cells, 3);
+  const auto serial = measure::runCells(cells, 1, measure::runChaosCell);
+  const auto parallel = measure::runCells(cells, 3, measure::runChaosCell);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;

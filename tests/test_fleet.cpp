@@ -13,6 +13,7 @@
 #include "http/client.h"
 #include "http/server.h"
 #include "measure/fleet_scenario.h"
+#include "measure/parallel.h"
 #include "net/topology.h"
 #include "obs/hub.h"
 #include "regulation/icp_registry.h"
@@ -549,8 +550,8 @@ TEST(FleetScenario, ResultsAreByteIdenticalAcrossThreadCounts) {
     c.tracing = true;
     cells.push_back(c);
   }
-  const auto serial = measure::runFleetCells(cells, 1);
-  const auto parallel = measure::runFleetCells(cells, 4);
+  const auto serial = measure::runCells(cells, 1, measure::runFleetCell);
+  const auto parallel = measure::runCells(cells, 4, measure::runFleetCell);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "chaos/scripts.h"
 #include "measure/campaign.h"
+#include "measure/chaos_scenario.h"
+#include "measure/fleet_scenario.h"
+#include "measure/population_scenario.h"
 #include "measure/report.h"
 #include "measure/resource_model.h"
+#include "measure/serverless_scenario.h"
 #include "measure/stats.h"
+#include "util/hash.h"
 
 namespace sc::measure {
 namespace {
@@ -242,6 +248,117 @@ TEST(Scalability, MorePointsMoreLoad) {
   EXPECT_EQ(points[1].clients, 12);
   EXPECT_GT(points[0].plt_mean_s, 0.0);
   EXPECT_EQ(points[0].failures, 0);
+}
+
+// ---- scenario worlds pinned byte for byte ----
+//
+// One small cell per scenario world shape, digested with FNV-1a over its
+// metrics JSONL, its trace JSONL (tracing on) and its integer result
+// fields. A refactor of how these worlds are built must leave every value
+// unchanged: node names, IPs, RNG forks and event order all feed the bytes.
+
+std::uint64_t digestOf(const std::string& metrics, const std::string& trace,
+                       std::initializer_list<std::uint64_t> ints) {
+  Fnv1a d;
+  d.add(metrics);
+  d.add(trace);
+  for (const std::uint64_t v : ints) d.add(v);
+  return d.value();
+}
+
+std::uint64_t u64(int v) { return static_cast<std::uint64_t>(v); }
+
+TEST(ScenarioGolden, FleetCellWithChurnCacheAndAutoscale) {
+  FleetCellOptions o;
+  o.users = 3;
+  o.fleet_size = 2;
+  o.churn_interval = 5 * sim::kSecond;
+  o.block_duration = 20 * sim::kSecond;
+  o.duration = 30 * sim::kSecond;
+  o.cache = true;
+  o.autoscale = true;
+  o.tracing = true;
+  const FleetCellResult r = runFleetCell(o);
+  EXPECT_GT(r.successes, 0);
+  EXPECT_GT(r.blocks_applied, 0u);
+  EXPECT_EQ(digestOf(r.metrics_jsonl, r.trace_jsonl,
+                     {u64(r.attempts), u64(r.successes), r.cache_hits,
+                      r.cache_misses, r.border_bytes, r.respawns,
+                      r.failovers, r.blocks_applied, u64(r.final_size)}),
+            0x85c2e595c0b98a6bULL)
+      << std::hex;
+}
+
+TEST(ScenarioGolden, PopulationCellWithCohort) {
+  PopulationCellOptions o;
+  o.scholars = 10000;
+  o.sc_adoption = 0.25;
+  o.scheduler.time_scale = 86400.0 / 60.0;  // a day in 60 sim-seconds
+  o.cohort_users = 2;
+  o.autoscale = true;
+  o.duration = 10 * sim::kSecond;
+  o.tracing = true;
+  const PopulationCellResult r = runPopulationCell(o);
+  EXPECT_GT(r.background_stats.arrivals, 1000u);
+  EXPECT_GT(r.background_stats.fleet_leases, 0u);
+  EXPECT_GT(r.cohort_successes, 0);
+  EXPECT_EQ(digestOf(r.metrics_jsonl, r.trace_jsonl,
+                     {r.background_digest, u64(r.cohort_attempts),
+                      u64(r.cohort_successes), r.cache_hits, r.cache_misses,
+                      u64(r.final_fleet_size)}),
+            0x9b0dadefed051c7fULL)
+      << std::hex;
+}
+
+std::uint64_t chaosDigest(const ChaosCellResult& r) {
+  return digestOf(r.metrics_jsonl, r.trace_jsonl,
+                  {u64(r.attempts), u64(r.successes), u64(r.faults),
+                   u64(r.impacted), u64(r.recovered), u64(r.unrecovered),
+                   r.requests_lost, r.respawns, r.records.size()});
+}
+
+TEST(ScenarioGolden, ChaosCellOnFleetScholarCloud) {
+  ChaosCellOptions o;
+  o.method = Method::kScholarCloud;
+  o.fleet = true;
+  o.fleet_size = 2;
+  o.users = 2;
+  o.script = chaos::ssEndpointDiscovery(4 * sim::kSecond);
+  o.duration = 30 * sim::kSecond;
+  const ChaosCellResult r = runChaosCell(o);
+  EXPECT_GT(r.impacted, 0);
+  EXPECT_EQ(chaosDigest(r), 0x9629d35fc4293548ULL) << std::hex;
+}
+
+TEST(ScenarioGolden, ChaosCellOnServerless) {
+  ChaosCellOptions o;
+  o.method = Method::kServerless;
+  o.users = 2;
+  o.script = chaos::endpointBanWave(5 * sim::kSecond, 2);
+  o.duration = 30 * sim::kSecond;
+  const ChaosCellResult r = runChaosCell(o);
+  EXPECT_GT(r.successes, 0);
+  EXPECT_EQ(chaosDigest(r), 0x2fae465e672e1ec4ULL) << std::hex;
+}
+
+TEST(ScenarioGolden, ServerlessCell) {
+  ServerlessCellOptions o;
+  o.users = 2;
+  o.script = chaos::endpointBanWave(5 * sim::kSecond, 3);
+  o.duration = 30 * sim::kSecond;
+  const ServerlessCellResult r = runServerlessCell(o);
+  EXPECT_GT(r.successes, 0);
+  EXPECT_EQ(
+      digestOf(r.metrics_jsonl, r.trace_jsonl,
+               {u64(r.attempts), u64(r.successes),
+                u64(r.attempts_after_last_fault),
+                u64(r.successes_after_last_fault), u64(r.faults),
+                u64(r.impacted), u64(r.recovered), u64(r.unrecovered),
+                r.requests_lost, r.invocations, r.spawns, r.cold_starts,
+                r.bans, r.reaps, u64(r.final_live), u64(r.final_connected),
+                r.border_bytes}),
+      0x052dd88b0b2b1a39ULL)
+      << std::hex;
 }
 
 }  // namespace

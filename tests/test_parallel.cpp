@@ -76,8 +76,8 @@ TEST(ParallelCampaign, TrialTraceAndMetricsByteIdenticalForAnyThreadCount) {
   }
   trials[1].testbed.seed = 43;
 
-  const auto one = runCampaignTrials(trials, 1);
-  const auto four = runCampaignTrials(trials, 4);
+  const auto one = runCells(trials, 1, runCampaignTrial);
+  const auto four = runCells(trials, 4, runCampaignTrial);
   ASSERT_EQ(one.size(), 2u);
   ASSERT_EQ(four.size(), 2u);
   for (std::size_t i = 0; i < one.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include "gfw/gfw.h"
 #include "measure/calibration.h"
+#include "measure/parallel.h"
 #include "measure/population_scenario.h"
 #include "net/topology.h"
 #include "population/flow_model.h"
@@ -261,8 +262,8 @@ TEST(Population, SameSeedCellsAreByteIdenticalAcrossThreadCounts) {
     opt.seed = seed;
     cells.push_back(opt);
   }
-  const auto serial = measure::runPopulationCells(cells, 1);
-  const auto parallel = measure::runPopulationCells(cells, 4);
+  const auto serial = measure::runCells(cells, 1, measure::runPopulationCell);
+  const auto parallel = measure::runCells(cells, 4, measure::runPopulationCell);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].background_digest, parallel[i].background_digest);

@@ -9,6 +9,7 @@
 #include "chaos/scripts.h"
 #include "measure/campaign.h"
 #include "measure/chaos_scenario.h"
+#include "measure/parallel.h"
 #include "measure/resource_model.h"
 #include "measure/serverless_scenario.h"
 #include "measure/testbed.h"
@@ -252,8 +253,8 @@ TEST(ServerlessChaos, ParallelCellsMatchSerialByteForByte) {
   cells[1] = cells[0];
   cells[1].seed = 43;
 
-  const auto parallel = measure::runServerlessCells(cells, 2);
-  const auto serial = measure::runServerlessCells(cells, 1);
+  const auto parallel = measure::runCells(cells, 2, measure::runServerlessCell);
+  const auto serial = measure::runCells(cells, 1, measure::runServerlessCell);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(parallel[i].attempts, serial[i].attempts);

@@ -475,8 +475,8 @@ TEST(SpanEndToEnd, SameSeedByteIdenticalSpanExportAcrossThreads) {
     trial.testbed.spans = true;
     trials.push_back(trial);
   }
-  const auto serial = measure::runCampaignTrials(trials, 1);
-  const auto parallel = measure::runCampaignTrials(trials, 4);
+  const auto serial = measure::runCells(trials, 1, measure::runCampaignTrial);
+  const auto parallel = measure::runCells(trials, 4, measure::runCampaignTrial);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_FALSE(serial[i].spans_jsonl.empty()) << "cell " << i;
