@@ -35,12 +35,28 @@
 
 namespace sc::bench {
 
-inline int accessesFromEnv(int fallback = 120) {
-  if (const char* env = std::getenv("SC_BENCH_ACCESSES")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+// Parses `text` as a positive integer no larger than INT_MAX, as a whole:
+// "abc", "0", "-5" and "3x" are rejected. Returns 0 after naming `what` on
+// stderr when the text is not one.
+inline int parsePositiveInt(const char* what, const char* text) {
+  char* end = nullptr;
+  const long long n = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || n <= 0 || n > INT_MAX) {
+    std::fprintf(stderr, "%s expects a positive integer, got '%s'\n", what,
+                 text);
+    return 0;
   }
-  return fallback;
+  return static_cast<int>(n);
+}
+
+// SC_BENCH_ACCESSES if set, else `fallback`. A set but malformed value
+// exits 2 rather than silently running some other sweep.
+inline int accessesFromEnv(int fallback = 120) {
+  const char* env = std::getenv("SC_BENCH_ACCESSES");
+  if (env == nullptr) return fallback;
+  const int v = parsePositiveInt("SC_BENCH_ACCESSES", env);
+  if (v == 0) std::exit(2);
+  return v;
 }
 
 // Parses a list of positive integers from the named environment variable;
@@ -121,16 +137,8 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
       if (const char* v = value("--spans")) args.spans_path = v;
     } else if (std::strcmp(a, "--accesses") == 0) {
       if (const char* v = value("--accesses")) {
-        char* end = nullptr;
-        const long long n = std::strtoll(v, &end, 10);
-        if (end == v || *end != '\0' || n <= 0 || n > INT_MAX) {
-          std::fprintf(stderr,
-                       "--accesses expects a positive integer, got '%s'\n",
-                       v);
-          args.ok = false;
-        } else {
-          args.accesses = static_cast<int>(n);
-        }
+        args.accesses = parsePositiveInt("--accesses", v);
+        if (args.accesses == 0) args.ok = false;
       }
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       std::fprintf(stderr,

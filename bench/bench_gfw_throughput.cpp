@@ -1,11 +1,11 @@
 // GFW border hot path, the numbers behind the compiled-DPI rework:
 //
-//   1. packets/sec through the inspector pipeline — the compiled path (one
-//      PayloadScanner pass + automaton prefilter + suffix-index confirm) vs
-//      an in-bench replica of the pre-rework inspectors (string-copying
-//      ClientHello parse, splitString Host extraction, separate entropy and
-//      printable walks, vector-scan domain blocklist) over the same traffic
-//      corpus;
+//   1. packets/sec through the inspector pipeline — gfw::Inspector, the
+//      compiled path the GFW runs (one PayloadScanner pass + automaton
+//      prefilter + suffix-index confirm), vs the pre-rework replica in
+//      tests/dpi_oracle.h (string-copying ClientHello parse, splitString
+//      Host extraction, separate entropy and printable walks, vector-scan
+//      domain blocklist) over the same traffic corpus;
 //   2. equivalence: both paths classify every packet and the (class, rst)
 //      verdict sequences are FNV-hashed — the hashes must match;
 //   3. blocklist churn: mutation waves with the lazy recompile discipline,
@@ -24,202 +24,35 @@
 //   SC_BENCH_GFW_WAVES     blocklist mutation waves         (default 16)
 //   SC_BENCH_SCALE_CLIENTS campaign cell sizes              (default 4,8,12)
 //   SC_BENCH_THREADS       parallel workers                 (default hardware)
-#include <cmath>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "crypto/entropy.h"
+#include "dpi_oracle.h"
 #include "gfw/blocklist.h"
 #include "gfw/classifier.h"
-#include "gfw/dpi/engine.h"
-#include "gfw/dpi/scanner.h"
 #include "net/packet.h"
 #include "util/bytes.h"
 #include "util/hash.h"
-#include "util/strings.h"
 
 namespace {
 
 using sc::Bytes;
-using sc::ByteView;
 using sc::gfw::ClassifierThresholds;
-using sc::gfw::FlowClass;
 
-// ---------------------------------------------------------------------------
-// Replica of the pre-rework inspectors, kept as the fixed baseline the
-// packets/sec ratio is measured against. Every quirk is intentional: the
-// ClientHello parse copies both fields into strings, the Host extraction
-// copies the payload into a std::string and splits it into a line vector,
-// entropy and printable fraction each re-walk the payload, and the domain
-// blocklist is a linear dnsDomainIs scan.
+// The Inspector's lazy recompiles, counted and timed. The bench calls
+// refresh() itself before the first packet after a blocklist bump — exactly
+// where classify() would recompile — so the compile cost can be clocked.
+struct RecompileClock {
+  std::uint64_t count = 0;
+  double seconds = 0;
 
-struct LegacyTlsHelloInfo {
-  std::string sni;
-  std::string fingerprint;
-};
-
-std::optional<LegacyTlsHelloInfo> legacyParseClientHello(ByteView payload) {
-  std::size_t off = 0;
-  std::uint8_t rec_type = 0, msg_tag = 0;
-  std::uint16_t version = 0, rec_len = 0;
-  if (!sc::readU8(payload, off, rec_type) || rec_type != 0x16)
-    return std::nullopt;
-  if (!sc::readU16(payload, off, version) || !sc::readU16(payload, off, rec_len))
-    return std::nullopt;
-  if (!sc::readU8(payload, off, msg_tag) || msg_tag != 1) return std::nullopt;
-
-  LegacyTlsHelloInfo info;
-  std::uint16_t len = 0;
-  Bytes raw;
-  if (!sc::readU16(payload, off, len) || !sc::readBytes(payload, off, len, raw))
-    return std::nullopt;
-  info.sni = sc::toString(raw);
-  if (!sc::readU16(payload, off, len) || !sc::readBytes(payload, off, len, raw))
-    return std::nullopt;
-  info.fingerprint = sc::toString(raw);
-  return info;
-}
-
-std::optional<std::string> legacyExtractHttpHost(ByteView payload) {
-  const std::string text = sc::toString(payload);
-  static constexpr const char* kMethods[] = {"GET ",  "POST ",    "HEAD ",
-                                             "PUT ",  "CONNECT ", "DELETE "};
-  bool is_http = false;
-  for (const char* m : kMethods) {
-    if (sc::startsWith(text, m)) {
-      is_http = true;
-      break;
-    }
-  }
-  if (!is_http) return std::nullopt;
-  for (const auto& line : sc::splitString(text, '\n')) {
-    const auto trimmed = sc::trimWhitespace(line);
-    if (sc::iequals(trimmed.substr(0, 5), "host:"))
-      return std::string(sc::trimWhitespace(trimmed.substr(5)));
-  }
-  const auto first_line = sc::splitString(text, '\n').front();
-  const auto parts = sc::splitString(first_line, ' ');
-  if (parts.size() >= 2) {
-    std::string_view target = parts[1];
-    const auto scheme = target.find("://");
-    if (scheme != std::string_view::npos) {
-      target.remove_prefix(scheme + 3);
-      const auto slash = target.find('/');
-      const auto colon = target.find(':');
-      return std::string(target.substr(0, std::min(slash, colon)));
-    }
-  }
-  return std::string{};
-}
-
-bool legacyIsTorLikeFingerprint(const std::string& fingerprint) {
-  const std::string lower = sc::toLower(fingerprint);
-  return lower.find("tor") != std::string::npos ||
-         lower.find("meek") != std::string::npos;
-}
-
-class LegacyDomainBlocklist {
- public:
-  void add(const std::string& suffix) { suffixes_.push_back(sc::toLower(suffix)); }
-  bool isBlocked(const std::string& host) const {
-    for (const auto& suffix : suffixes_) {
-      if (sc::dnsDomainIs(host, suffix)) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::string> suffixes_;
-};
-
-FlowClass legacyClassifyTcpPayload(const sc::net::Packet& pkt,
-                                   const ClassifierThresholds& thresholds) {
-  const auto& payload = pkt.payload;
-  if (payload.empty()) return FlowClass::kUnknown;
-
-  if (const auto hello = legacyParseClientHello(payload)) {
-    return legacyIsTorLikeFingerprint(hello->fingerprint) ? FlowClass::kTorTls
-                                                          : FlowClass::kTls;
-  }
-  if (legacyExtractHttpHost(payload).has_value()) return FlowClass::kPlainHttp;
-  if (pkt.tcp().dst_port == 1723) return FlowClass::kVpnPptp;
-  if (pkt.tcp().dst_port == 1194 && payload[0] == 0x38)
-    return FlowClass::kOpenVpn;
-
-  if (payload.size() < thresholds.min_classify_bytes) return FlowClass::kUnknown;
-
-  const double printable = sc::crypto::printableFraction(payload);
-  if (printable >= thresholds.printable_benign_fraction)
-    return FlowClass::kTextLike;
-
-  const double cap =
-      std::min(8.0, std::log2(static_cast<double>(payload.size())));
-  const double entropy = sc::crypto::shannonEntropy(payload);
-  if (entropy >= thresholds.entropy_threshold_bits * cap / 8.0)
-    return FlowClass::kHighEntropy;
-
-  return FlowClass::kUnknown;
-}
-
-// The pre-rework verdict shape: classify, then re-parse the payload to ask
-// the blocklist (the classify step already parsed it once — that double work
-// is part of what the rework removed and the ratio measures).
-std::uint16_t legacyVerdict(const sc::net::Packet& pkt,
-                            const LegacyDomainBlocklist& domains,
-                            const ClassifierThresholds& thresholds) {
-  const FlowClass cls = legacyClassifyTcpPayload(pkt, thresholds);
-  bool rst = false;
-  if (cls == FlowClass::kPlainHttp) {
-    const auto host = legacyExtractHttpHost(pkt.payload);
-    if (host.has_value() && !host->empty() && domains.isBlocked(*host))
-      rst = true;
-  } else if (cls == FlowClass::kTls || cls == FlowClass::kTorTls) {
-    const auto hello = legacyParseClientHello(pkt.payload);
-    if (hello.has_value() && domains.isBlocked(hello->sni)) rst = true;
-  }
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(cls) << 1 |
-                                    static_cast<std::uint16_t>(rst));
-}
-
-// ---------------------------------------------------------------------------
-// The compiled path, mirroring Gfw::classifyFlow's TCP branch: one scan,
-// field-scoped prefilter flags, exact-index confirm only on candidates.
-
-struct CompiledInspector {
-  sc::gfw::DomainBlocklist domains;
-  sc::gfw::dpi::Engine engine;
-  sc::gfw::dpi::PayloadScanner scanner;
-  sc::gfw::dpi::ScanResult scan;
-  std::uint64_t dpi_version = ~std::uint64_t{0};
-  std::uint64_t recompiles = 0;
-  double recompile_seconds = 0;
-
-  void refresh() {
-    if (engine.compiled() && dpi_version == domains.version()) return;
+  void refresh(sc::gfw::Inspector& inspector) {
     const sc::bench::Stopwatch clock;
-    engine.compile(domains.patterns());
-    recompile_seconds += clock.seconds();
-    ++recompiles;
-    dpi_version = domains.version();
-  }
-
-  std::uint16_t verdict(const sc::net::Packet& pkt,
-                        const ClassifierThresholds& thresholds) {
-    refresh();
-    scanner.scan(pkt.payload, &engine.automaton(), scan);
-    const auto flags = engine.analyze(scan, pkt.payload);
-    const FlowClass cls = sc::gfw::classifyScan(scan, flags, pkt, thresholds);
-    bool rst = false;
-    if (cls == FlowClass::kPlainHttp) {
-      if (flags.host_candidate && domains.isBlocked(scan.http_host)) rst = true;
-    } else if (cls == FlowClass::kTls || cls == FlowClass::kTorTls) {
-      if (flags.sni_candidate && domains.isBlocked(scan.sni)) rst = true;
-    }
-    return static_cast<std::uint16_t>(static_cast<std::uint16_t>(cls) << 1 |
-                                      static_cast<std::uint16_t>(rst));
+    if (!inspector.refresh()) return;
+    seconds += clock.seconds();
+    ++count;
   }
 };
 
@@ -356,15 +189,17 @@ int main() {
   const auto domains = blocklistDomains(n_filler);
   const ClassifierThresholds thresholds;
 
-  LegacyDomainBlocklist legacy_domains;
-  CompiledInspector compiled;
+  dpi_oracle::LegacyDomainBlocklist legacy_domains;
+  gfw::DomainBlocklist blocklist;
+  gfw::Inspector inspector(blocklist);
+  RecompileClock recompiles;
   for (const auto& d : domains) {
     legacy_domains.add(d);
-    compiled.domains.add(d);
+    blocklist.add(d);
   }
-  compiled.refresh();
-  const std::uint64_t compile_warmup = compiled.recompiles;
-  const double full_compile_s = compiled.recompile_seconds;
+  recompiles.refresh(inspector);
+  const std::uint64_t compile_warmup = recompiles.count;
+  const double full_compile_s = recompiles.seconds;
 
   // --- 1+2: timed inspector runs, verdict hashes accumulated in-loop ------
   std::uint64_t legacy_hash = kFnvOffset;
@@ -372,7 +207,8 @@ int main() {
   const bench::Stopwatch legacy_clock;
   while (legacy_done < n_packets) {
     for (const auto& pkt : corpus) {
-      legacy_hash = fnv1a(legacy_hash, legacyVerdict(pkt, legacy_domains, thresholds));
+      legacy_hash = fnv1a(legacy_hash, dpi_oracle::legacyVerdict(
+                                           pkt, legacy_domains, thresholds));
       ++legacy_done;
     }
   }
@@ -384,7 +220,8 @@ int main() {
   const bench::Stopwatch new_clock;
   while (new_done < n_packets) {
     for (const auto& pkt : corpus) {
-      new_hash = fnv1a(new_hash, compiled.verdict(pkt, thresholds));
+      new_hash = fnv1a(new_hash, dpi_oracle::inspectorVerdict(inspector, pkt,
+                                                              thresholds));
       ++new_done;
     }
   }
@@ -403,8 +240,8 @@ int main() {
   // Each wave mutates the blocklist (fleet-churn shape: add one, retire an
   // older one every second wave), then a batch of packets flows through. The
   // recompile is lazy — it lands on the first packet after the bump.
-  const std::uint64_t pre_churn_recompiles = compiled.recompiles;
-  const double pre_churn_recompile_s = compiled.recompile_seconds;
+  const std::uint64_t pre_churn_recompiles = recompiles.count;
+  const double pre_churn_recompile_s = recompiles.seconds;
   long long churn_done = 0;
   std::uint64_t churn_hash = kFnvOffset;
   const long long batch =
@@ -413,15 +250,17 @@ int main() {
   for (int w = 0; w < n_waves; ++w) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "wave-%04d.churn.example.net", w);
-    compiled.domains.add(buf);
+    blocklist.add(buf);
     if (w % 2 == 1) {
       std::snprintf(buf, sizeof buf, "wave-%04d.churn.example.net", w - 1);
-      compiled.domains.remove(buf);
+      blocklist.remove(buf);
     }
+    recompiles.refresh(inspector);
     long long in_wave = 0;
     while (in_wave < batch) {
       for (const auto& pkt : corpus) {
-        churn_hash = fnv1a(churn_hash, compiled.verdict(pkt, thresholds));
+        churn_hash = fnv1a(churn_hash, dpi_oracle::inspectorVerdict(
+                                           inspector, pkt, thresholds));
         ++in_wave;
         ++churn_done;
         if (in_wave >= batch) break;
@@ -430,9 +269,8 @@ int main() {
   }
   const double churn_s = churn_clock.seconds();
   const double churn_pps = static_cast<double>(churn_done) / churn_s;
-  const std::uint64_t churn_recompiles = compiled.recompiles - pre_churn_recompiles;
-  const double churn_recompile_s =
-      compiled.recompile_seconds - pre_churn_recompile_s;
+  const std::uint64_t churn_recompiles = recompiles.count - pre_churn_recompiles;
+  const double churn_recompile_s = recompiles.seconds - pre_churn_recompile_s;
   const double retained = new_pps > 0 ? churn_pps / new_pps : 0;
   const double recompile_mean_s =
       churn_recompiles > 0
@@ -458,8 +296,8 @@ int main() {
       .field("packets", new_done)
       .field("corpus_payloads", corpus.size())
       .field("blocklist_domains", domains.size())
-      .field("automaton_patterns", compiled.engine.automaton().patternCount())
-      .field("automaton_states", compiled.engine.automaton().stateCount())
+      .field("automaton_patterns", inspector.engine().automaton().patternCount())
+      .field("automaton_states", inspector.engine().automaton().stateCount())
       .field("new_packets_per_sec", new_pps)
       .field("legacy_packets_per_sec", legacy_pps)
       .field("speedup", speedup)

@@ -1,22 +1,20 @@
-// Deep packet inspection: stateless payload classifiers that turn the first
-// data-bearing packets of a flow into a protocol verdict. Everything here
-// reads only bytes a real wire tap would see.
+// Deep packet inspection: turns the first data-bearing packets of a flow
+// into a protocol verdict. Everything here reads only bytes a real wire tap
+// would see.
 //
-// The zero-copy parsers live in gfw/dpi (the compiled scan path); this
-// header re-exports them and keeps the copying conveniences plus the
-// reference classifier `classifyTcpPayload`, which multi-walks the payload
-// the way the pre-compiled pipeline did. `classifyScan` is the hot-path
-// variant fed by one PayloadScanner pass; the two must agree byte-for-byte
-// (tests drive both over the same corpus).
+// Inspector is the one payload classifier: one PayloadScanner pass (gfw/dpi)
+// feeds the class decision, the Tor fingerprint flag, the entropy and
+// printable statistics and the SNI/Host blocklist prefilters. The GFW runs
+// it on every classified TCP packet; tests and bench_gfw_throughput check it
+// against the independent multi-walk replica in tests/dpi_oracle.h.
 #pragma once
 
-#include <optional>
-#include <string>
+#include <cstdint>
 
+#include "gfw/blocklist.h"
 #include "gfw/dpi/engine.h"
 #include "gfw/dpi/scanner.h"
 #include "net/packet.h"
-#include "util/bytes.h"
 
 namespace sc::gfw {
 
@@ -34,48 +32,50 @@ enum class FlowClass : std::uint8_t {
 
 const char* flowClassName(FlowClass cls);
 
-// Extracted ClientHello metadata (matches the TLS-sim wire format).
-struct TlsHelloInfo {
-  std::string sni;
-  std::string fingerprint;
-};
-std::optional<TlsHelloInfo> parseClientHello(ByteView payload);
-
-// Zero-copy variants, re-exported from the DPI scanner: the views alias
-// the payload and are valid only while the packet buffer lives.
-using TlsHelloView = dpi::TlsHelloView;
-inline std::optional<TlsHelloView> parseClientHelloView(ByteView payload) {
-  return dpi::parseClientHelloView(payload);
-}
-inline std::optional<std::string_view> extractHttpHostView(
-    std::string_view text) {
-  return dpi::extractHttpHostView(text);
-}
-
-// Extracts the Host header value from a plaintext HTTP request prefix.
-std::optional<std::string> extractHttpHost(ByteView payload);
-
 struct ClassifierThresholds {
   double entropy_threshold_bits = 7.0;
   double printable_benign_fraction = 0.9;
   std::size_t min_classify_bytes = 48;
 };
 
-// TLS fingerprints the GFW recognizes as circumvention stacks. The real GFW
-// learned Tor's cipher-suite list (Winter & Lindskog) and later meek's
-// quirks; we model that knowledge as a substring match.
-bool isTorLikeFingerprint(std::string_view fingerprint);
+// The compiled TCP payload classifier over a domain blocklist it does not
+// own. The scan state is reused across packets: scan() and nameBlocked()
+// describe the packet last passed to classify() and alias its payload, so
+// they are valid only while that packet lives.
+class Inspector {
+ public:
+  explicit Inspector(const DomainBlocklist& domains) : domains_(domains) {}
 
-// Classifies the first client->server payload of a TCP flow by walking the
-// payload once per inspector (the reference implementation).
-FlowClass classifyTcpPayload(const net::Packet& pkt,
-                             const ClassifierThresholds& thresholds);
+  // Recompiles the DPI automaton iff the blocklist's version moved since
+  // the last compile (lazy: a churn burst costs one compile, on the next
+  // classified packet). Returns true when it recompiled.
+  bool refresh();
 
-// Same decision procedure, but every input is read off one completed
-// PayloadScanner pass (`scan`) and its engine flags — no re-walking.
-FlowClass classifyScan(const dpi::ScanResult& scan,
-                       const dpi::Engine::Flags& flags, const net::Packet& pkt,
-                       const ClassifierThresholds& thresholds);
+  // Classifies the first client->server payload of a TCP flow. The GFW
+  // recognizes Tor's cipher-suite list (Winter & Lindskog) and meek's
+  // quirks; a "tor"/"meek" substring in the fingerprint models that.
+  FlowClass classify(const net::Packet& pkt,
+                     const ClassifierThresholds& thresholds);
+
+  // Whether the Host (plain HTTP) or SNI (TLS) of the packet just classified
+  // is on the blocklist: the automaton prefilter first (no hit inside the
+  // field means the exact suffix check cannot succeed), then the exact
+  // isBlocked confirmation. False for every other class.
+  bool nameBlocked() const;
+
+  const dpi::ScanResult& scan() const noexcept { return scan_; }
+  const dpi::Engine::Flags& flags() const noexcept { return flags_; }
+  const dpi::Engine& engine() const noexcept { return engine_; }
+
+ private:
+  const DomainBlocklist& domains_;
+  dpi::Engine engine_;
+  dpi::PayloadScanner scanner_;
+  dpi::ScanResult scan_;
+  dpi::Engine::Flags flags_;
+  FlowClass cls_ = FlowClass::kUnknown;
+  std::uint64_t version_ = 0;
+};
 
 // Classifies a non-TCP packet (GRE/ESP/UDP protocol fingerprints).
 FlowClass classifyNonTcp(const net::Packet& pkt);

@@ -106,12 +106,6 @@ void Gfw::gcFlows() {
   ips_.gcExpired(now);
 }
 
-void Gfw::refreshDpi() {
-  if (dpi_.compiled() && dpi_version_ == domains_.version()) return;
-  dpi_.compile(domains_.patterns());
-  dpi_version_ = domains_.version();
-}
-
 bool Gfw::endpointIsRegisteredIcp(const net::Packet& pkt, bool outbound) const {
   if (!icp_lookup_) return false;
   // The China-side endpoint is the source of outbound packets.
@@ -235,18 +229,10 @@ void Gfw::classifyFlow(Flow& flow, const net::Packet& pkt, net::Link& link,
   thresholds.printable_benign_fraction = config_.printable_benign_fraction;
   thresholds.min_classify_bytes = config_.min_classify_bytes;
 
-  dpi::Engine::Flags flags;
-  FlowClass cls;
-  if (pkt.isTcp()) {
-    // One compiled pass feeds every inspector below: class decision, SNI /
-    // Host keyword prefilters, Tor fingerprint, entropy statistics.
-    refreshDpi();
-    scanner_.scan(pkt.payload, &dpi_.automaton(), scan_);
-    flags = dpi_.analyze(scan_, pkt.payload);
-    cls = classifyScan(scan_, flags, pkt, thresholds);
-  } else {
-    cls = classifyNonTcp(pkt);
-  }
+  // One compiled pass feeds every TCP inspector below: class decision,
+  // SNI / Host keyword prefilters, Tor fingerprint, entropy statistics.
+  const FlowClass cls = pkt.isTcp() ? inspector_.classify(pkt, thresholds)
+                                    : classifyNonTcp(pkt);
   if (cls == FlowClass::kUnknown && pkt.isTcp()) return;  // wait for more data
 
   flow.classified = true;
@@ -263,10 +249,7 @@ void Gfw::classifyFlow(Flow& flow, const net::Packet& pkt, net::Link& link,
   switch (cls) {
     case FlowClass::kPlainHttp: {
       if (!config_.keyword_filtering) break;
-      // host_candidate is the automaton prefilter (sound: no hit inside the
-      // Host field means the exact suffix check cannot succeed); isBlocked
-      // is the exact confirmation on the indexed blocklist.
-      if (flags.host_candidate && domains_.isBlocked(scan_.http_host)) {
+      if (inspector_.nameBlocked()) {
         traceVerdict(pkt, "http_keyword", "rst");
         injectRst(pkt, link, dir);
         flow.killed = true;
@@ -275,8 +258,7 @@ void Gfw::classifyFlow(Flow& flow, const net::Packet& pkt, net::Link& link,
     }
     case FlowClass::kTls:
     case FlowClass::kTorTls: {
-      if (config_.tls_sni_filtering && flags.sni_candidate &&
-          domains_.isBlocked(scan_.sni)) {
+      if (config_.tls_sni_filtering && inspector_.nameBlocked()) {
         traceVerdict(pkt, "tls_sni", "rst");
         injectRst(pkt, link, dir);
         flow.killed = true;

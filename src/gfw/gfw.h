@@ -27,8 +27,6 @@
 #include "gfw/blocklist.h"
 #include "gfw/classifier.h"
 #include "gfw/config.h"
-#include "gfw/dpi/engine.h"
-#include "gfw/dpi/scanner.h"
 #include "gfw/prober.h"
 #include "net/network.h"
 
@@ -119,10 +117,6 @@ class Gfw final : public net::PacketFilter {
                       net::Direction dir);
   void scheduleProbe(net::Endpoint server);
   void gcFlows();
-  // Recompiles the DPI automaton iff the domain blocklist's version moved
-  // since the last compile (lazy: churn bursts cost one compile, on the
-  // next classified packet).
-  void refreshDpi();
 
   net::Network& network_;
   GfwConfig config_;
@@ -131,13 +125,9 @@ class Gfw final : public net::PacketFilter {
   net::Direction outbound_ = net::Direction::kAtoB;
   DomainBlocklist domains_;
   IpBlocklist ips_;
-  // Compiled DPI hot path: automaton + engine flags over one scan pass.
-  // scan_ is reused across packets (views in it alias the packet being
-  // inspected and die with it).
-  dpi::Engine dpi_;
-  dpi::PayloadScanner scanner_;
-  dpi::ScanResult scan_;
-  std::uint64_t dpi_version_ = 0;
+  // Compiled DPI over domains_ (declared after it): one scan pass per
+  // classified TCP packet.
+  Inspector inspector_{domains_};
   IcpLookup icp_lookup_;
   std::unique_ptr<ActiveProber> prober_;
   std::unordered_map<net::FiveTuple, Flow> flows_;

@@ -110,6 +110,63 @@ fleet::Fleet& FleetWorld::spawnFleet(fleet::FleetOptions options,
                                              spawn, Testbed::kScTunnelTag);
 }
 
+namespace {
+
+core::DomesticProxyOptions gatewayProxy(const Bytes& secret,
+                                        crypto::BlindingMode mode) {
+  core::DomesticProxyOptions o;
+  o.tunnel_secret = secret;  // remote stays zero: provider-only mode
+  o.blinding_mode = mode;
+  o.whitelist = {kScholarHost};
+  return o;
+}
+
+serverless::DispatcherOptions frontedDispatch(const Bytes& secret,
+                                              crypto::BlindingMode mode) {
+  serverless::DispatcherOptions o;
+  o.front_domain = Testbed::kFrontDomain;
+  o.tunnel_secret = secret;
+  o.blinding_mode = mode;
+  return o;
+}
+
+}  // namespace
+
+ServerlessSite::ServerlessSite(sim::Simulator& sim, net::World& world,
+                               gfw::Gfw& gfw, net::Ipv4 us_dns_ip,
+                               crypto::BlindingMode blinding_mode,
+                               serverless::ProviderOptions provider_options)
+    : secret(toBytes("serverless-dispatch-secret")),
+      gateway_stack(world.addCampusServer("fn-gateway"), 2.3e9),
+      gateway(gateway_stack, gatewayProxy(secret, blinding_mode),
+              Testbed::kServerlessTunnelTag),
+      cost(sim),
+      provider(sim, std::move(provider_options),
+               spawnFn(world, us_dns_ip, blinding_mode), &cost,
+               Testbed::kServerlessTunnelTag),
+      dispatcher(gateway_stack, frontedDispatch(secret, blinding_mode),
+                 provider, &cost, Testbed::kServerlessTunnelTag) {
+  gateway.setTunnelProvider(&dispatcher);
+  gfw.ips().setOnChange([this] { dispatcher.onBlocklistChurn(); });
+}
+
+serverless::FunctionProvider::SpawnFn ServerlessSite::spawnFn(
+    net::World& world, net::Ipv4 us_dns_ip, crypto::BlindingMode mode) {
+  return [this, &world, us_dns_ip,
+          mode](int seq) -> std::optional<serverless::FunctionSpawn> {
+    const std::string name = "fn-" + std::to_string(seq);
+    auto& node = world.addUsServer(name);
+    serverless::RuntimeOptions ropts;
+    ropts.cert_name = Testbed::kFrontDomain;
+    ropts.tunnel_secret = secret;
+    ropts.blinding_mode = mode;
+    ropts.dns_server = us_dns_ip;
+    fn_hosts.push_back(std::make_unique<FnHost>(node, ropts));
+    return serverless::FunctionSpawn{net::Endpoint{node.primaryIp(), ropts.port},
+                                     name};
+  };
+}
+
 void fetchThroughProxy(transport::HostStack& stack, sim::Simulator& sim,
                        net::Endpoint proxy_ep, sim::Time timeout,
                        std::function<void(bool ok)> done) {

@@ -15,6 +15,11 @@
 //                IPs, and GFW blocklist churn wired into the prober. Used
 //                by the fleet, population and fleet-chaos cells.
 //
+// ServerlessSite is the one serverless deployment: the fn-gateway
+// dispatcher proxy, its cost meter, the function endpoints it spawns and the
+// fronted dispatcher. runServerlessCell puts it on a CellWorld; the Testbed
+// builds it lazily on its first kServerless client.
+//
 // Members are constructed in declaration order, which is also the order the
 // worlds were historically built in by hand: node names, IPs, RNG forks and
 // event sequence numbers (hence every exported metric and trace byte) depend
@@ -36,6 +41,7 @@
 #include "core/deployment.h"
 #include "core/domestic_proxy.h"
 #include "core/remote_proxy.h"
+#include "crypto/blinding.h"
 #include "dns/server.h"
 #include "fleet/fleet.h"
 #include "gfw/gfw.h"
@@ -43,6 +49,10 @@
 #include "net/topology.h"
 #include "obs/hub.h"
 #include "regulation/icp_registry.h"
+#include "serverless/cost.h"
+#include "serverless/dispatcher.h"
+#include "serverless/provider.h"
+#include "serverless/runtime.h"
 #include "sim/simulator.h"
 #include "transport/host_stack.h"
 
@@ -103,6 +113,45 @@ class FleetWorld : public CellWorld {
   // the member initializers, after `deployment` is built.
   fleet::Fleet& spawnFleet(fleet::FleetOptions options,
                            const std::string& remote_prefix);
+};
+
+// The serverless method's deployment in `world`: a campus gateway proxy in
+// provider-only mode, deliberately NOT ICP-registered (its protection is
+// per-endpoint churn, not leniency: the gray-market contrast with
+// ScholarCloud), a cost meter, FunctionRuntime endpoints spawned on fresh US
+// IPs ("fn-<seq>") behind the fronted SNI, and the FrontedDispatcher. GFW
+// blocklist churn is wired into the dispatcher, collapsing ban detection to
+// one probe RTT; that takes the blocklist's single on-change slot.
+class ServerlessSite {
+ public:
+  ServerlessSite(sim::Simulator& sim, net::World& world, gfw::Gfw& gfw,
+                 net::Ipv4 us_dns_ip, crypto::BlindingMode blinding_mode,
+                 serverless::ProviderOptions provider_options);
+  ServerlessSite(const ServerlessSite&) = delete;
+  ServerlessSite& operator=(const ServerlessSite&) = delete;
+
+  struct FnHost {
+    FnHost(net::Node& node, const serverless::RuntimeOptions& options)
+        : stack(node, 2.3e9), runtime(stack, options) {}
+    transport::HostStack stack;
+    serverless::FunctionRuntime runtime;
+  };
+
+  const Bytes secret;
+  transport::HostStack gateway_stack;
+  core::DomesticProxy gateway;
+  serverless::CostModel cost;
+  // Declared before the provider (whose pre-warm spawns into it) and the
+  // dispatcher, so the dispatcher is destroyed first and severs its tunnels
+  // while the function hosts and the gateway stack are still alive.
+  std::vector<std::unique_ptr<FnHost>> fn_hosts;
+  serverless::FunctionProvider provider;
+  serverless::FrontedDispatcher dispatcher;
+
+ private:
+  serverless::FunctionProvider::SpawnFn spawnFn(net::World& world,
+                                                net::Ipv4 us_dns_ip,
+                                                crypto::BlindingMode mode);
 };
 
 // A campus user with its own host stack and think-time rng stream (the

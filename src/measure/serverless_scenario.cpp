@@ -4,16 +4,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <utility>
 
 #include "chaos/engine.h"
 #include "chaos/injector.h"
-#include "core/domestic_proxy.h"
 #include "measure/cell_world.h"
-#include "serverless/cost.h"
-#include "serverless/dispatcher.h"
-#include "serverless/provider.h"
-#include "serverless/runtime.h"
 
 namespace sc::measure {
 
@@ -22,57 +16,15 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   sim::Simulator& sim = w.sim;
   net::World& world = w.world;
   gfw::Gfw& gfw = w.gfw;
-  const net::Ipv4 us_dns_ip = w.dns_stack.node().primaryIp();
-
-  const Bytes secret = toBytes("serverless-dispatch-secret");
-
-  // Dispatcher gateway: provider-only domestic proxy, deliberately NOT ICP
-  // registered — the method's protection budget is endpoint churn, not
-  // leniency (the gray-market contrast with ScholarCloud).
-  auto& gateway_node = world.addCampusServer("fn-gateway");
-  transport::HostStack gateway_stack(gateway_node, 2.3e9);
-  core::DomesticProxyOptions gw_opts;
-  gw_opts.tunnel_secret = secret;  // remote stays zero: provider-only mode
-  gw_opts.whitelist = {kScholarHost};
-  core::DomesticProxy gateway(gateway_stack, gw_opts,
-                              Testbed::kServerlessTunnelTag);
-
-  serverless::CostModel cost(sim);
-
-  std::vector<std::unique_ptr<transport::HostStack>> fn_stacks;
-  std::vector<std::unique_ptr<serverless::FunctionRuntime>> fn_runtimes;
-  auto spawn = [&world, &fn_stacks, &fn_runtimes, us_dns_ip,
-                secret](int seq) -> std::optional<serverless::FunctionSpawn> {
-    const std::string name = "fn-" + std::to_string(seq);
-    auto& node = world.addUsServer(name);
-    auto stack = std::make_unique<transport::HostStack>(node, 2.3e9);
-    serverless::RuntimeOptions ropts;
-    ropts.cert_name = Testbed::kFrontDomain;
-    ropts.tunnel_secret = secret;
-    ropts.dns_server = us_dns_ip;
-    fn_runtimes.push_back(
-        std::make_unique<serverless::FunctionRuntime>(*stack, ropts));
-    fn_stacks.push_back(std::move(stack));
-    return serverless::FunctionSpawn{net::Endpoint{node.primaryIp(), 443},
-                                     name};
-  };
 
   serverless::ProviderOptions popts;
   popts.prewarm = opt.prewarm;
   popts.max_live = opt.max_live;
   popts.ttl = opt.ttl;
   popts.respawn = opt.respawn;
-  serverless::FunctionProvider provider(sim, popts, spawn, &cost,
-                                        Testbed::kServerlessTunnelTag);
-
-  serverless::DispatcherOptions dopts;
-  dopts.front_domain = Testbed::kFrontDomain;
-  dopts.tunnel_secret = secret;
-  serverless::FrontedDispatcher dispatcher(gateway_stack, dopts, provider,
-                                           &cost,
-                                           Testbed::kServerlessTunnelTag);
-  gateway.setTunnelProvider(&dispatcher);
-  gfw.ips().setOnChange([&dispatcher] { dispatcher.onBlocklistChurn(); });
+  ServerlessSite site(sim, world, gfw, w.dns_stack.node().primaryIp(),
+                      crypto::BlindingMode::kByteMap, popts);
+  serverless::FunctionProvider& provider = site.provider;
 
   chaos::LinkInjector link_inj(w.network);
   // "egress" resolves to the first warm, not-yet-banned endpoint IP at fire
@@ -100,7 +52,7 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
     last_fault_at = std::max(last_fault_at, ev.at);
 
   ServerlessCellResult out;
-  const net::Endpoint gateway_ep = gateway.proxyEndpoint();
+  const net::Endpoint gateway_ep = site.gateway.proxyEndpoint();
   std::vector<std::unique_ptr<transport::HostStack>> users;
   // `u` stays valid: users holds unique_ptrs.
   std::function<void(transport::HostStack*)> fetch =
@@ -132,6 +84,7 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   sim.runUntil(opt.duration);
 
   out.success_ratio = successRatio(out.successes, out.attempts);
+  serverless::CostModel& cost = site.cost;
   cost.publish();
   out.endpoint_seconds = cost.endpointSeconds();
   out.cost_units = cost.totalCost();
@@ -143,7 +96,7 @@ ServerlessCellResult runServerlessCell(const ServerlessCellOptions& opt) {
   out.cold_start_max_ms = cost.coldStartMaxMs();
   out.cold_start_mean_ms = cost.coldStartMeanMs();
   out.final_live = provider.liveCount();
-  out.final_connected = dispatcher.connectedCount();
+  out.final_connected = site.dispatcher.connectedCount();
   out.border_bytes =
       w.network.tagStats(Testbed::kServerlessTunnelTag).bytes_originated;
 

@@ -1,12 +1,13 @@
 // Serverless chaos/cost world: the ephemeral-endpoint method living through
 // a scripted fault timeline, with the cost meter running.
 //
-// One world shape, on the same CellWorld base as the fleet worlds
-// (measure/cell_world.h: US resolver, scholar origin, border GFW): a
-// domestic dispatcher gateway in provider-only mode, FunctionRuntime
-// endpoints spawned on fresh US IPs behind the fronted SNI, Link + GFW
-// injectors armed so "egress" IP bans land on live endpoint IPs, and raw
-// absolute-form GET users hammering the gateway. Two configurations of the
+// One world shape, from measure/cell_world.h: the CellWorld base the fleet
+// worlds share (US resolver, scholar origin, border GFW) carrying a
+// ServerlessSite, the same deployment the Testbed builds for kServerless
+// clients (provider-only dispatcher gateway, FunctionRuntime endpoints on
+// fresh US IPs behind the fronted SNI). On top: Link + GFW injectors armed
+// so "egress" IP bans land on live endpoint IPs, and raw absolute-form GET
+// users hammering the gateway. Two configurations of the
 // same world make the headline comparison:
 //   - respawn on (the method): banned endpoints are retired and replaced on
 //     fresh IPs — success rate recovers after every ban in the wave;

@@ -10,6 +10,8 @@
 //     all harvested into the GFW's IP blocklist — plus an unlisted bridge
 //     behind a meek reflector fronted by a CDN), and the ScholarCloud
 //     split-proxy pair (domestic proxy registered as an ICP);
+//   - the serverless deployment (measure::ServerlessSite, shared with
+//     runServerlessCell), built lazily by the first kServerless client;
 //   - client factory configuring a Browser per access method.
 #pragma once
 
@@ -24,13 +26,10 @@
 #include "http/browser.h"
 #include "http/origin.h"
 #include "measure/calibration.h"
+#include "measure/cell_world.h"
 #include "obs/hub.h"
 #include "openvpn/openvpn.h"
 #include "regulation/mps_investigation.h"
-#include "serverless/cost.h"
-#include "serverless/dispatcher.h"
-#include "serverless/provider.h"
-#include "serverless/runtime.h"
 #include "shadowsocks/shadowsocks.h"
 #include "tor/client.h"
 #include "vpn/l2tp.h"
@@ -162,19 +161,10 @@ class Testbed {
   // hostnames never appear on the wire.
   static constexpr const char* kFrontDomain = "fn.cloud-front.example";
 
-  // Serverless handles (valid once a kServerless client exists; null
-  // before — the subsystem is built lazily to keep other methods' worlds,
-  // and therefore their rng draws, byte-identical to the seed).
-  core::DomesticProxy* serverlessGateway() noexcept {
-    return sl_gateway_.get();
-  }
-  serverless::FunctionProvider* serverlessProvider() noexcept {
-    return sl_provider_.get();
-  }
-  serverless::FrontedDispatcher* serverlessDispatcher() noexcept {
-    return sl_dispatcher_.get();
-  }
-  serverless::CostModel* serverlessCost() noexcept { return sl_cost_.get(); }
+  // The serverless deployment (measure/cell_world.h): valid once a
+  // kServerless client exists, null before — it is built lazily to keep
+  // other methods' worlds, and therefore their rng draws, byte-identical.
+  ServerlessSite* serverless() noexcept { return serverless_.get(); }
 
  private:
   void buildOrigins();
@@ -251,20 +241,8 @@ class Testbed {
   std::unique_ptr<core::RemoteProxy> remote_proxy_;
   std::unique_ptr<core::Deployment> deployment_;
 
-  // Serverless (lazy: built by the first kServerless client). Declaration
-  // order matters for teardown: the dispatcher is declared last so it is
-  // destroyed first and severs its tunnels while the function hosts and
-  // gateway stack are still alive.
-  struct FnHost {
-    std::unique_ptr<transport::HostStack> stack;
-    std::unique_ptr<serverless::FunctionRuntime> runtime;
-  };
-  std::vector<std::unique_ptr<FnHost>> fn_hosts_;
-  std::unique_ptr<transport::HostStack> sl_gateway_stack_;
-  std::unique_ptr<core::DomesticProxy> sl_gateway_;
-  std::unique_ptr<serverless::CostModel> sl_cost_;
-  std::unique_ptr<serverless::FunctionProvider> sl_provider_;
-  std::unique_ptr<serverless::FrontedDispatcher> sl_dispatcher_;
+  // Serverless (lazy: built by the first kServerless client).
+  std::unique_ptr<ServerlessSite> serverless_;
 
   std::vector<std::unique_ptr<Client>> clients_;
   int client_counter_ = 0;

@@ -124,7 +124,7 @@ class FlowModel {
 
   // Lazily derived per-method drop disciplines (mutable: expected() is
   // logically const; the derived table is a cache keyed on policy version,
-  // the same shape as Gfw::refreshDpi).
+  // the same shape as gfw::Inspector::refresh).
   mutable std::array<double, kMethodCount> discipline_{};
   mutable bool direct_blocked_ = false;
   mutable std::uint64_t policy_seen_ = ~0ULL;

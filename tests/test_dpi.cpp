@@ -1,7 +1,8 @@
-// Tests for the compiled DPI engine (src/gfw/dpi): automaton correctness,
-// single-pass scanner equivalence against the reference multi-walk
-// classifiers, reversed-suffix index vs brute-force dnsDomainIs, and the
-// classifier edge cases both paths must agree on.
+// Tests for the compiled DPI engine (src/gfw/dpi) and gfw::Inspector:
+// automaton correctness, single-pass scanner equivalence against the
+// multi-walk oracle (dpi_oracle.h), reversed-suffix index vs the oracle's
+// linear dnsDomainIs blocklist, and the classifier edge cases both must
+// agree on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include "crypto/aes.h"
 #include "crypto/entropy.h"
+#include "dpi_oracle.h"
 #include "gfw/blocklist.h"
 #include "gfw/classifier.h"
 #include "gfw/dpi/automaton.h"
@@ -17,7 +19,6 @@
 #include "gfw/dpi/engine.h"
 #include "gfw/dpi/scanner.h"
 #include "net/packet.h"
-#include "util/strings.h"
 
 namespace sc::gfw {
 namespace {
@@ -28,6 +29,11 @@ using dpi::Engine;
 using dpi::Hit;
 using dpi::PayloadScanner;
 using dpi::ScanResult;
+using dpi_oracle::LegacyDomainBlocklist;
+using dpi_oracle::legacyClassifyTcpPayload;
+using dpi_oracle::legacyExtractHttpHost;
+using dpi_oracle::legacyIsTorLikeFingerprint;
+using dpi_oracle::legacyParseClientHello;
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> hitSet(
     const std::vector<Hit>& hits) {
@@ -93,7 +99,7 @@ TEST(DpiAutomaton, RecompileReplacesThePatternSet) {
   EXPECT_EQ(hits[0].end, 9u);
 }
 
-// ---- reversed-suffix index vs brute-force dnsDomainIs ----
+// ---- reversed-suffix index vs the oracle's linear dnsDomainIs scan ----
 
 TEST(DpiDomainIndex, MatchesBruteForceDnsDomainIs) {
   const std::vector<std::string> domains = {
@@ -101,6 +107,8 @@ TEST(DpiDomainIndex, MatchesBruteForceDnsDomainIs) {
       ".org", "a.b.c.d"};
   DomainIndex index;
   index.build(domains);
+  LegacyDomainBlocklist linear;
+  for (const std::string& d : domains) linear.add(d);
   const std::vector<std::string> hosts = {
       "google.com",      "www.google.com", "GOOGLE.COM",   "google.com.cn",
       "notgoogle.com",   "edu.cn",         "www.edu.cn",   "x.edu.cn",
@@ -109,12 +117,8 @@ TEST(DpiDomainIndex, MatchesBruteForceDnsDomainIs) {
       "a.b.c.d",         "z.a.b.c.d",      "b.c.d",        "",
       ".",               "..",             "a.",           ".google.com",
       "mixed.GoOgLe.CoM"};
-  for (const std::string& host : hosts) {
-    bool brute = false;
-    for (const std::string& d : domains)
-      if (dnsDomainIs(host, d)) brute = true;
-    EXPECT_EQ(index.isBlocked(host), brute) << "host=" << host;
-  }
+  for (const std::string& host : hosts)
+    EXPECT_EQ(index.isBlocked(host), linear.isBlocked(host)) << "host=" << host;
 }
 
 TEST(DpiDomainIndex, EmptyIndexBlocksNothing) {
@@ -173,14 +177,14 @@ TEST(DpiScanner, ReproducesReferenceParsersAndStatistics) {
   for (const Bytes& payload : scanCorpus()) {
     scanner.scan(payload, nullptr, scan);
 
-    const auto hello = parseClientHello(payload);
+    const auto hello = legacyParseClientHello(payload);
     EXPECT_EQ(scan.has_client_hello, hello.has_value());
     if (hello) {
       EXPECT_EQ(std::string(scan.sni), hello->sni);
       EXPECT_EQ(std::string(scan.fingerprint), hello->fingerprint);
     }
 
-    const auto host = extractHttpHost(payload);
+    const auto host = legacyExtractHttpHost(payload);
     EXPECT_EQ(scan.has_http_request, host.has_value());
     if (host) {
       EXPECT_EQ(std::string(scan.http_host), *host);
@@ -200,7 +204,7 @@ TEST(DpiScanner, ClientHelloTruncatedAtEveryBoundaryAgreesWithReference) {
   for (std::size_t len = 0; len <= full.size(); ++len) {
     const ByteView prefix{full.data(), len};
     const auto view = dpi::parseClientHelloView(prefix);
-    const auto copy = parseClientHello(prefix);
+    const auto copy = legacyParseClientHello(prefix);
     ASSERT_EQ(view.has_value(), copy.has_value()) << "len=" << len;
     // Only the complete message parses: every truncation point (record
     // header, message tag, SNI length/body, fingerprint length/body) must
@@ -209,7 +213,7 @@ TEST(DpiScanner, ClientHelloTruncatedAtEveryBoundaryAgreesWithReference) {
   }
 }
 
-// ---- classifier equivalence: compiled path vs reference path ----
+// ---- classifier equivalence: Inspector vs oracle ----
 
 net::Packet tcpPacket(Bytes payload, net::Port dst_port = 443) {
   return net::makeTcp(net::Ipv4(10, 0, 0, 1), net::Ipv4(203, 0, 0, 1), 50000,
@@ -220,10 +224,7 @@ net::Packet tcpPacket(Bytes payload, net::Port dst_port = 443) {
 TEST(DpiClassifier, CompiledScanAgreesWithReferenceOverCorpus) {
   DomainBlocklist domains;
   domains.add("google.com");
-  Engine engine;
-  engine.compile(domains.patterns());
-  PayloadScanner scanner;
-  ScanResult scan;
+  Inspector inspector(domains);
   ClassifierThresholds thresholds;
 
   std::vector<net::Packet> packets;
@@ -233,10 +234,8 @@ TEST(DpiClassifier, CompiledScanAgreesWithReferenceOverCorpus) {
   packets.push_back(tcpPacket(Bytes{0x39}, 1194));       // wrong preamble
 
   for (const net::Packet& pkt : packets) {
-    scanner.scan(pkt.payload, &engine.automaton(), scan);
-    const Engine::Flags flags = engine.analyze(scan, pkt.payload);
-    EXPECT_EQ(classifyScan(scan, flags, pkt, thresholds),
-              classifyTcpPayload(pkt, thresholds));
+    EXPECT_EQ(inspector.classify(pkt, thresholds),
+              legacyClassifyTcpPayload(pkt, thresholds));
   }
 }
 
@@ -259,7 +258,8 @@ TEST(DpiClassifier, PrefilterFlagsAreSound) {
       EXPECT_FALSE(domains.isBlocked(scan.http_host));
     }
     if (scan.has_client_hello) {
-      EXPECT_EQ(flags.tor_fingerprint, isTorLikeFingerprint(scan.fingerprint));
+      EXPECT_EQ(flags.tor_fingerprint,
+                legacyIsTorLikeFingerprint(std::string(scan.fingerprint)));
     }
   }
   // "google.com.cn" hits the automaton (substring) but not the suffix
@@ -287,7 +287,7 @@ TEST(DpiClassifier, TorFingerprintFlagIsFieldScoped) {
   EXPECT_TRUE(engine.analyze(scan, fp_tor).tor_fingerprint);
 }
 
-// ---- classifier edge cases both paths must agree on ----
+// ---- classifier edge cases the Inspector and the oracle must agree on ----
 
 struct EdgeCase {
   const char* payload;
@@ -312,7 +312,7 @@ TEST(DpiClassifierEdge, AbsoluteUriAndHostHeaderVariants) {
   };
   for (const EdgeCase& c : cases) {
     const auto view = dpi::extractHttpHostView(c.payload);
-    const auto copy = extractHttpHost(toBytes(c.payload));
+    const auto copy = legacyExtractHttpHost(toBytes(c.payload));
     ASSERT_EQ(view.has_value(), copy.has_value()) << c.payload;
     EXPECT_EQ(view.has_value(), c.engaged) << c.payload;
     if (view) {
@@ -325,22 +325,113 @@ TEST(DpiClassifierEdge, AbsoluteUriAndHostHeaderVariants) {
 TEST(DpiClassifierEdge, ShortPayloadEntropyCapAgreesAcrossPaths) {
   // A short ciphertext burst cannot reach 8 bits/byte; the scaled threshold
   // must still classify it, identically on both paths.
-  Engine engine;
-  engine.compile({});
-  PayloadScanner scanner;
-  ScanResult scan;
+  const DomainBlocklist domains;
+  Inspector inspector(domains);
   ClassifierThresholds thresholds;
   for (const std::size_t n : {48u, 64u, 100u, 256u}) {
     const net::Packet pkt = tcpPacket(crypto::aes256CfbEncrypt(
         Bytes(32, 3), Bytes(16, 4), Bytes(n, 9)));
-    scanner.scan(pkt.payload, &engine.automaton(), scan);
-    const Engine::Flags flags = engine.analyze(scan, pkt.payload);
-    EXPECT_EQ(classifyScan(scan, flags, pkt, thresholds),
+    EXPECT_EQ(inspector.classify(pkt, thresholds), FlowClass::kHighEntropy)
+        << n;
+    EXPECT_EQ(legacyClassifyTcpPayload(pkt, thresholds),
               FlowClass::kHighEntropy)
         << n;
-    EXPECT_EQ(classifyTcpPayload(pkt, thresholds), FlowClass::kHighEntropy)
-        << n;
   }
+}
+
+// ---- the Inspector against the oracle on a corpus wider than the bench's ----
+
+std::vector<Bytes> widenedCorpus() {
+  std::vector<Bytes> corpus;
+  // Every truncation of five ClientHellos (empty SNI, an embedded "tor",
+  // one trailing byte past the message among them).
+  Bytes trailing = makeClientHelloBytes("static.example.org", "chrome-56");
+  trailing.push_back(0x00);
+  const Bytes hellos[] = {
+      makeClientHelloBytes("scholar.google.com", "chrome-56"),
+      makeClientHelloBytes("", "chrome-56"),
+      makeClientHelloBytes("www.benign.org", "history"),
+      makeClientHelloBytes("drive.google.com", "tor-browser-6.5"),
+      trailing,
+  };
+  for (const Bytes& hello : hellos)
+    for (std::size_t len = 0; len <= hello.size(); ++len)
+      corpus.emplace_back(hello.begin(),
+                          hello.begin() + static_cast<std::ptrdiff_t>(len));
+  // Request-line and header shapes.
+  for (const char* text : {
+           "GET / HTTP/1.1\nHost: scholar.google.com\n\n",
+           "GET / HTTP/1.1\nHost: lf.example\n",
+           "GET / HTTP/1.1\r\n   Host: google.com\r\n\r\n",
+           "GET / HTTP/1.1\r\n\tHost:\twww.google.com\t\r\n\r\n",
+           "GET / HTTP/1.1\r\nX-Host: www.google.com\r\nHost: benign.org"
+           "\r\n\r\n",
+           "GET / HTTP/1.1\r\nX-Host: benign.org\r\nHost: www.google.com"
+           "\r\n\r\n",
+           "GET / HTTP/1.1\r\nHost:\r\n\r\n",
+           "GET / HTTP/1.1\r\nHost:   \r\nAccept: */*\r\n\r\n",
+           "GET",
+           "GET ",
+           "GET\r\n\r\n",
+           "GET http://scholar.google.com:8080/p HTTP/1.1\r\n\r\n",
+           "GET http://www.google.com/a:b HTTP/1.1\r\n\r\n",
+           "GET http://benign.org:80/x:y HTTP/1.1\r\n\r\n",
+           "GET http://google.com: HTTP/1.1\r\n\r\n",
+           "CONNECT https://drive.google.com:443 HTTP/1.1\r\n\r\n",
+           "HEAD http://google.com.cn/ HTTP/1.1\r\nAccept: */*\r\n\r\n",
+       })
+    corpus.push_back(toBytes(text));
+  // Ciphertext of every length from 1 to 1,400 bytes (CFB: a prefix of the
+  // ciphertext is the ciphertext of the prefix).
+  const Bytes ct = crypto::aes256CfbEncrypt(Bytes(32, 5), Bytes(16, 6),
+                                            Bytes(1400, 0x41));
+  for (std::size_t n = 1; n <= ct.size(); ++n)
+    corpus.emplace_back(ct.begin(), ct.begin() + static_cast<std::ptrdiff_t>(n));
+  return corpus;
+}
+
+TEST(DpiOracle, InspectorAgreesWithOracleOnWidenedCorpus) {
+  DomainBlocklist domains;
+  LegacyDomainBlocklist linear;
+  for (const char* d : {"google.com", ".wikipedia.org", "tor.example"}) {
+    domains.add(d);
+    linear.add(d);
+  }
+  Inspector inspector(domains);
+  const ClassifierThresholds thresholds;
+  std::size_t cases = 0;
+  for (const Bytes& payload : widenedCorpus()) {
+    for (const net::Port port : {443, 80, 1723, 1194, 8388}) {
+      const net::Packet pkt = tcpPacket(payload, port);
+      const std::string what =
+          "len=" + std::to_string(payload.size()) + " port=" +
+          std::to_string(port);
+      ++cases;
+      EXPECT_EQ(inspector.classify(pkt, thresholds),
+                legacyClassifyTcpPayload(pkt, thresholds))
+          << what;
+      EXPECT_EQ(dpi_oracle::inspectorVerdict(inspector, pkt, thresholds),
+                dpi_oracle::legacyVerdict(pkt, linear, thresholds))
+          << what;
+
+      const ScanResult& scan = inspector.scan();
+      const auto hello = legacyParseClientHello(pkt.payload);
+      ASSERT_EQ(scan.has_client_hello, hello.has_value()) << what;
+      if (hello) {
+        EXPECT_EQ(scan.sni, hello->sni) << what;
+        EXPECT_EQ(scan.fingerprint, hello->fingerprint) << what;
+        EXPECT_EQ(inspector.flags().tor_fingerprint,
+                  legacyIsTorLikeFingerprint(hello->fingerprint))
+            << what;
+      }
+      const auto host = legacyExtractHttpHost(pkt.payload);
+      ASSERT_EQ(scan.has_http_request, !hello && host.has_value()) << what;
+      if (scan.has_http_request) {
+        EXPECT_EQ(scan.http_host, *host) << what;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 7940u);
 }
 
 }  // namespace

@@ -148,12 +148,40 @@ TEST(DomainBlocklist, VersionBumpsOnlyOnEffectiveMutations) {
 
 // ---- classifiers ----
 
+// Classifier.* drive the production path: gfw::Inspector, the classifier the
+// GFW runs on every flow's first payload.
+
+net::Packet tcpTo(net::Port dst_port, Bytes payload) {
+  return net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2), 50000,
+                      dst_port, net::TcpFlags{.psh = true}, 0, 0,
+                      std::move(payload));
+}
+
+// A ClientHello in the TLS-sim wire format carrying `fingerprint`.
+Bytes helloWithFingerprint(std::string_view fingerprint) {
+  Bytes out;
+  appendU8(out, 0x16);
+  appendU16(out, 0x0303);
+  appendU16(out, static_cast<std::uint16_t>(5 + fingerprint.size()));
+  appendU8(out, 0x01);
+  appendU16(out, 0);
+  appendU16(out, static_cast<std::uint16_t>(fingerprint.size()));
+  appendBytes(out, toBytes(fingerprint));
+  return out;
+}
+
 TEST(Classifier, RecognizesPlainHttpHost) {
-  const auto host = extractHttpHost(
-      toBytes("GET / HTTP/1.1\r\nhost: scholar.google.com\r\n\r\n"));
-  ASSERT_TRUE(host.has_value());
-  EXPECT_EQ(*host, "scholar.google.com");
-  EXPECT_FALSE(extractHttpHost(toBytes("random bytes")).has_value());
+  const DomainBlocklist domains;
+  Inspector inspector(domains);
+  const ClassifierThresholds thresholds;
+  const net::Packet get =
+      tcpTo(80, toBytes("GET / HTTP/1.1\r\nhost: scholar.google.com\r\n\r\n"));
+  inspector.classify(get, thresholds);
+  ASSERT_TRUE(inspector.scan().has_http_request);
+  EXPECT_EQ(inspector.scan().http_host, "scholar.google.com");
+  const net::Packet noise = tcpTo(80, toBytes("random bytes"));
+  inspector.classify(noise, thresholds);
+  EXPECT_FALSE(inspector.scan().has_http_request);
 }
 
 TEST(Classifier, ParsesClientHelloSniAndFingerprint) {
@@ -176,44 +204,55 @@ TEST(Classifier, ParsesClientHelloSniAndFingerprint) {
                                          [](http::TlsStream::Ptr) {});
       });
   w.runUntilDone([&] { return !captured.empty(); });
-  const auto hello = parseClientHello(captured);
+  const auto hello = dpi::parseClientHelloView(captured);
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->sni, "scholar.google.com");
   EXPECT_EQ(hello->fingerprint, "tor-browser-6.5");
-  EXPECT_TRUE(isTorLikeFingerprint(hello->fingerprint));
-  EXPECT_FALSE(isTorLikeFingerprint("chrome-56"));
-  EXPECT_TRUE(isTorLikeFingerprint("meek/0.25 chrome"));
+
+  const DomainBlocklist domains;
+  Inspector inspector(domains);
+  const ClassifierThresholds thresholds;
+  const auto tor_like = [&](Bytes payload) {
+    const net::Packet pkt = tcpTo(443, std::move(payload));
+    inspector.classify(pkt, thresholds);
+    return inspector.flags().tor_fingerprint;
+  };
+  EXPECT_TRUE(tor_like(captured));
+  EXPECT_FALSE(tor_like(helloWithFingerprint("chrome-56")));
+  EXPECT_TRUE(tor_like(helloWithFingerprint("meek/0.25 chrome")));
 }
 
 TEST(Classifier, EntropyClassifierCatchesCiphertextButNotText) {
+  const DomainBlocklist domains;
+  Inspector inspector(domains);
   ClassifierThresholds thresholds;
-  net::Packet ct = net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
-                                50000, 8388, net::TcpFlags{.psh = true}, 0, 0,
-                                crypto::aes256CfbEncrypt(
-                                    Bytes(32, 1), Bytes(16, 2), Bytes(400, 7)));
-  EXPECT_EQ(classifyTcpPayload(ct, thresholds), FlowClass::kHighEntropy);
+  net::Packet ct = tcpTo(8388, crypto::aes256CfbEncrypt(
+                                   Bytes(32, 1), Bytes(16, 2), Bytes(400, 7)));
+  EXPECT_EQ(inspector.classify(ct, thresholds), FlowClass::kHighEntropy);
 
   net::Packet text = ct;
   text.payload = toBytes(std::string(400, 'a'));
-  EXPECT_EQ(classifyTcpPayload(text, thresholds), FlowClass::kTextLike);
+  EXPECT_EQ(inspector.classify(text, thresholds), FlowClass::kTextLike);
 }
 
 TEST(Classifier, CatchesSmallHighEntropyFirstPacket) {
   // Shadowsocks' first packet: 16-byte IV + ~22-byte encrypted header.
+  const DomainBlocklist domains;
+  Inspector inspector(domains);
   ClassifierThresholds thresholds;
-  net::Packet small = net::makeTcp(
-      net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2), 50000, 8388,
-      net::TcpFlags{.psh = true}, 0, 0,
-      crypto::aes256CfbEncrypt(Bytes(32, 3), Bytes(16, 4), Bytes(48, 9)));
-  EXPECT_EQ(classifyTcpPayload(small, thresholds), FlowClass::kHighEntropy);
+  net::Packet small = tcpTo(8388, crypto::aes256CfbEncrypt(
+                                      Bytes(32, 3), Bytes(16, 4), Bytes(48, 9)));
+  EXPECT_EQ(inspector.classify(small, thresholds), FlowClass::kHighEntropy);
 }
 
 TEST(Classifier, RecognizesVpnProtocols) {
+  const DomainBlocklist domains;
+  Inspector inspector(domains);
   ClassifierThresholds thresholds;
   net::Packet pptp = net::makeTcp(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
                                   50000, 1723, net::TcpFlags{}, 0, 0,
                                   Bytes{0x01});
-  EXPECT_EQ(classifyTcpPayload(pptp, thresholds), FlowClass::kVpnPptp);
+  EXPECT_EQ(inspector.classify(pptp, thresholds), FlowClass::kVpnPptp);
 
   net::Packet gre = net::makeGre(net::Ipv4(1, 1, 1, 1), net::Ipv4(2, 2, 2, 2),
                                  1, Bytes(64, 0));

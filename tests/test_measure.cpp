@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <sstream>
+
 #include "chaos/scripts.h"
 #include "measure/campaign.h"
 #include "measure/chaos_scenario.h"
@@ -9,6 +12,7 @@
 #include "measure/resource_model.h"
 #include "measure/serverless_scenario.h"
 #include "measure/stats.h"
+#include "obs/export.h"
 #include "util/hash.h"
 
 namespace sc::measure {
@@ -358,6 +362,30 @@ TEST(ScenarioGolden, ServerlessCell) {
                 r.bans, r.reaps, u64(r.final_live), u64(r.final_connected),
                 r.border_bytes}),
       0x052dd88b0b2b1a39ULL)
+      << std::hex;
+}
+
+// The Testbed's lazily built serverless deployment (gateway, provider,
+// dispatcher, function hosts) on the PAC-configured browser path.
+TEST(ScenarioGolden, TestbedServerlessCampaign) {
+  Testbed tb;
+  CampaignOptions o;
+  o.accesses = 4;
+  o.interval = 20 * sim::kSecond;
+  const CampaignResult r = runAccessCampaign(tb, Method::kServerless, 77, o);
+  EXPECT_TRUE(r.setup_ok);
+  EXPECT_GT(r.successes, 0);
+  std::ostringstream metrics;
+  obs::writeMetricsJsonl(tb.hub().registry(), metrics);
+  EXPECT_EQ(digestOf(metrics.str(), "",
+                     {u64(r.setup_ok), u64(r.successes), u64(r.failures),
+                      r.plt_first_s.n, r.plt_sub_s.n, r.rtt_ms.n,
+                      std::bit_cast<std::uint64_t>(r.plt_first_s.mean),
+                      std::bit_cast<std::uint64_t>(r.plt_sub_s.mean),
+                      std::bit_cast<std::uint64_t>(r.rtt_ms.mean),
+                      std::bit_cast<std::uint64_t>(r.plr_pct),
+                      r.client_bytes, u64(r.connections_estimate)}),
+            0x9dced0190a6702c5ULL)
       << std::hex;
 }
 

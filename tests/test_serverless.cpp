@@ -141,11 +141,10 @@ TEST(ServerlessTestbed, PageLoadsThroughFrontedDispatcher) {
   ASSERT_TRUE(bed.sim().runWhile([&] { return done; },
                                  bed.sim().now() + 2 * sim::kMinute));
   EXPECT_TRUE(page_ok);
-  ASSERT_NE(bed.serverlessProvider(), nullptr);
-  EXPECT_GE(bed.serverlessProvider()->liveCount(),
+  ASSERT_NE(bed.serverless(), nullptr);
+  EXPECT_GE(bed.serverless()->provider.liveCount(),
             bed.options().serverless_prewarm);
-  ASSERT_NE(bed.serverlessCost(), nullptr);
-  EXPECT_GT(bed.serverlessCost()->invocations(), 0u);
+  EXPECT_GT(bed.serverless()->cost.invocations(), 0u);
 }
 
 TEST(ServerlessTestbed, EndpointIpBanRetiresAndRespawnsOnFreshIp) {
@@ -155,23 +154,22 @@ TEST(ServerlessTestbed, EndpointIpBanRetiresAndRespawnsOnFreshIp) {
                                [&](bool ok) { ready = ok; });
   ASSERT_TRUE(bed.sim().runWhile([&] { return ready; }, sim::kMinute));
 
-  auto* provider = bed.serverlessProvider();
-  ASSERT_NE(provider, nullptr);
+  ASSERT_NE(bed.serverless(), nullptr);
+  auto& provider = bed.serverless()->provider;
   // Let the pre-warmed endpoints finish their fronted dials.
   bed.sim().runUntil(bed.sim().now() + 5 * sim::kSecond);
-  const auto ready_ids = provider->readyIds();
+  const auto ready_ids = provider.readyIds();
   ASSERT_FALSE(ready_ids.empty());
-  const net::Ipv4 banned_ip = provider->get(ready_ids.front())->remote.ip;
-  const std::uint64_t spawns_before = provider->spawns();
+  const net::Ipv4 banned_ip = provider.get(ready_ids.front())->remote.ip;
+  const std::uint64_t spawns_before = provider.spawns();
 
   bed.gfw().ips().add(banned_ip);  // the GFW confirms one endpoint
   bed.sim().runUntil(bed.sim().now() + 20 * sim::kSecond);
 
   // The banned endpoint was retired and replaced on a fresh IP.
-  EXPECT_FALSE(provider->idFor(banned_ip).has_value());
-  EXPECT_GT(provider->spawns(), spawns_before);
-  ASSERT_NE(bed.serverlessCost(), nullptr);
-  EXPECT_GE(bed.serverlessCost()->bans(), 1u);
+  EXPECT_FALSE(provider.idFor(banned_ip).has_value());
+  EXPECT_GT(provider.spawns(), spawns_before);
+  EXPECT_GE(bed.serverless()->cost.bans(), 1u);
 
   bool done = false, page_ok = false;
   client.browser->loadPage(measure::Testbed::kScholarHost,
@@ -205,8 +203,8 @@ TEST(ServerlessTestbed, FrontDomainBlocklistingKillsTheMethod) {
   ASSERT_TRUE(bed.sim().runWhile([&] { return done; },
                                  bed.sim().now() + 2 * sim::kMinute));
   EXPECT_FALSE(page_ok);
-  ASSERT_NE(bed.serverlessDispatcher(), nullptr);
-  EXPECT_EQ(bed.serverlessDispatcher()->connectedCount(), 0);
+  ASSERT_NE(bed.serverless(), nullptr);
+  EXPECT_EQ(bed.serverless()->dispatcher.connectedCount(), 0);
 }
 
 // ---- chaos cells ---------------------------------------------------------
