@@ -21,19 +21,6 @@ struct Variant {
   bool throttle_all_unknown;
 };
 
-CampaignResult run(const Variant& v, int accesses) {
-  TestbedOptions topts;
-  topts.seed = 1234;
-  topts.register_scholarcloud = v.registered;
-  topts.blinding_mode = v.mode;
-  topts.gfw.throttle_all_unknown = v.throttle_all_unknown;
-  Testbed tb(topts);
-  CampaignOptions copts;
-  copts.accesses = accesses;
-  copts.measure_rtt = false;
-  return runAccessCampaign(tb, Method::kScholarCloud, 400, copts);
-}
-
 }  // namespace
 
 int main() {
@@ -52,10 +39,25 @@ int main() {
        true},
   };
 
-  Report report("A1: ScholarCloud variants", {"PLR %", "PLT sub s", "KB/acc"});
+  // Each variant is its own cell: a fresh seed-1234 world, tag 400.
+  std::vector<CampaignTrial> trials;
   for (const auto& v : variants) {
-    const auto c = run(v, accesses);
-    report.addRow({v.label,
+    CampaignTrial trial{Method::kScholarCloud, 400, {}, {}};
+    trial.campaign.accesses = accesses;
+    trial.campaign.measure_rtt = false;
+    trial.testbed.seed = 1234;
+    trial.testbed.register_scholarcloud = v.registered;
+    trial.testbed.blinding_mode = v.mode;
+    trial.testbed.gfw.throttle_all_unknown = v.throttle_all_unknown;
+    trials.push_back(trial);
+  }
+  const auto cells =
+      runCells(trials, bench::threadsFromEnv(), runCampaignTrial);
+
+  Report report("A1: ScholarCloud variants", {"PLR %", "PLT sub s", "KB/acc"});
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const auto& c = cells[i].result;
+    report.addRow({variants[i].label,
                    {c.plr_pct, c.plt_sub_s.mean, c.traffic_kb_per_access}});
   }
   report.print();

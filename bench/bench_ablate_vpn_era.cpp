@@ -13,26 +13,36 @@ int main() {
   const int accesses = bench::accessesFromEnv(60);
   std::printf("Ablation A5 — GFW VPN-policy eras (%d accesses)\n", accesses);
 
-  Report report("A5: native VPN & OpenVPN under both eras",
-                {"PLR %", "PLT sub s", "failures"});
+  // Each (era, method) pair is its own cell: a fresh seed-888 world, tag 700.
+  std::vector<CampaignTrial> trials;
   for (const bool blocked_era : {false, true}) {
     for (const auto method : {Method::kNativeVpn, Method::kOpenVpn}) {
-      TestbedOptions topts;
-      topts.seed = 888;
-      topts.gfw.block_vpn_protocols = blocked_era;
-      Testbed tb(topts);
-      CampaignOptions copts;
-      copts.accesses = accesses;
-      copts.measure_rtt = false;
-      const auto c = runAccessCampaign(tb, method, 700, copts);
-      std::string label = std::string(methodName(method)) +
-                          (blocked_era ? " (2012-15 era)" : " (2017)");
-      if (!c.setup_ok) label += " [tunnel never came up]";
-      report.addRow({label,
-                     {c.plr_pct, c.plt_sub_s.mean,
-                      c.setup_ok ? static_cast<double>(c.failures)
-                                 : static_cast<double>(copts.accesses)}});
+      CampaignTrial trial{method, 700, {}, {}};
+      trial.campaign.accesses = accesses;
+      trial.campaign.measure_rtt = false;
+      trial.testbed.seed = 888;
+      trial.testbed.gfw.block_vpn_protocols = blocked_era;
+      trials.push_back(trial);
     }
+  }
+  const auto cells =
+      runCells(trials, bench::threadsFromEnv(), runCampaignTrial);
+
+  Report report("A5: native VPN & OpenVPN under both eras",
+                {"PLR %", "PLT sub s", "failures"});
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const auto& c = cells[i].result;
+    std::string label =
+        std::string(methodName(trials[i].method)) +
+        (trials[i].testbed.gfw.block_vpn_protocols ? " (2012-15 era)"
+                                                   : " (2017)");
+    // The blocked era is expected to strand the tunnel; that row reports
+    // every access as failed rather than failing the bench.
+    if (!c.setup_ok) label += " [tunnel never came up]";
+    report.addRow({label,
+                   {c.plr_pct, c.plt_sub_s.mean,
+                    c.setup_ok ? static_cast<double>(c.failures)
+                               : static_cast<double>(accesses)}});
   }
   report.print();
   std::printf("\nReading: under the 2012-2015 blocking era the recognized VPN "

@@ -1,17 +1,21 @@
-// Shared plumbing for the figure benches: a standard five-method campaign
-// sweep at the paper's cadence (one access per simulated minute), scaled to
-// SC_BENCH_ACCESSES accesses (default 120; set the environment variable to
-// 1440 for the paper's full day).
+// Shared plumbing for the benches. The figure benches run one campaign per
+// method at the paper's cadence (one access per simulated minute), each in
+// its own seeded world, scaled to SC_BENCH_ACCESSES accesses (default 120;
+// set the environment variable to 1440 for the paper's full day).
 //
-// Every bench also understands a small common command line:
-//   --trace FILE     enable the obs::Tracer and dump the event trace to FILE
+// The seven benches that take arguments (fig5a/b/c, fig6a/b/c and
+// span_attribution) share one small command line; the others read only
+// environment variables:
+//   --trace FILE     enable the obs::Tracer and dump each cell's event trace
 //                    (.csv suffix selects CSV, anything else JSONL)
-//   --metrics FILE   dump the obs::Registry snapshot to FILE after the sweep
-//   --spans FILE     enable the obs::SpanTracer and dump the span trees to
-//                    FILE (.json suffix selects Chrome trace_event format
+//   --metrics FILE   dump each cell's obs::Registry snapshot
+//   --spans FILE     enable the obs::SpanTracer and dump each cell's span
+//                    trees (.json suffix selects Chrome trace_event format
 //                    for chrome://tracing, anything else JSONL)
 //   --accesses N     override SC_BENCH_ACCESSES / the default (a positive
 //                    integer; anything else is rejected)
+// A figure bench writes one file per cell, FILE with the method's slug
+// before its extension: --trace t.jsonl gives t.native-vpn.jsonl, ...
 //
 // It also holds the benches' one wall clock (Stopwatch) and their one
 // serial-vs-parallel determinism check (checkParallelIdentity).
@@ -32,6 +36,7 @@
 #include "measure/resource_model.h"
 #include "measure/testbed.h"
 #include "obs/export.h"
+#include "util/strings.h"
 
 namespace sc::bench {
 
@@ -377,84 +382,125 @@ inline const std::vector<measure::Method>& paperMethods() {
   return methods;
 }
 
-struct SweepResult {
-  std::vector<measure::CampaignResult> campaigns;  // index-aligned to methods
-  // One line per campaign whose row holds no measurement: its setup failed,
-  // or it set up but no access succeeded. Every sweep method is expected to
-  // work, so a figure bench must not pass such a row off as a result.
-  std::vector<std::string> failures;
+// One figure row per method, each its own CampaignTrial cell: seed 42 and
+// tags 100, 101, ... in list order, all driven by `campaign`.
+inline std::vector<measure::CampaignTrial> methodTrials(
+    const std::vector<measure::Method>& methods,
+    const measure::CampaignOptions& campaign) {
+  std::vector<measure::CampaignTrial> trials;
+  std::uint32_t tag = 100;
+  for (const auto method : methods) {
+    measure::CampaignTrial trial{method, tag++, campaign, {}};
+    trial.testbed.seed = 42;
+    trials.push_back(trial);
+  }
+  return trials;
+}
 
-  // The figure bench's exit status: 0, or 1 after naming every failed
-  // campaign's method.
+// Runs every trial in its own Testbed across `threads` workers, results in
+// trial order. `run(trial, testbed)` drives the campaign and reads whatever
+// it needs from the world before the world dies.
+template <class Run>
+auto runTrialCells(const std::vector<measure::CampaignTrial>& trials,
+                   unsigned threads, Run run) {
+  return measure::runCells(trials, threads,
+                           [&](const measure::CampaignTrial& trial) {
+                             measure::Testbed tb(trial.testbed);
+                             return run(trial, tb);
+                           });
+}
+
+// `path` with the slug of `method`'s name put before its extension, so the
+// suffix that selects the dump format survives: "t.jsonl" with Native VPN
+// gives "t.native-vpn.jsonl", "trace" gives "trace.native-vpn".
+inline std::string cellPath(const std::string& path, measure::Method method) {
+  std::string slug;
+  for (const char c : toLower(measure::methodName(method))) {
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'))
+      slug += c;
+    else if (!slug.empty() && slug.back() != '-')
+      slug += '-';
+  }
+  if (!slug.empty() && slug.back() == '-') slug.pop_back();
+  const std::size_t slash = path.find_last_of('/');
+  const std::size_t dot = path.find_last_of('.');
+  const bool has_ext =
+      dot != std::string::npos && (slash == std::string::npos || dot > slash);
+  return has_ext ? path.substr(0, dot) + "." + slug + path.substr(dot)
+                 : path + "." + slug;
+}
+
+// Writes one cell's --trace/--metrics/--spans files, named by cellPath.
+inline void dumpCell(measure::Testbed& tb, const BenchArgs& args,
+                     measure::Method method) {
+  if (!args.trace_path.empty()) {
+    const std::string path = cellPath(args.trace_path, method);
+    if (obs::dumpTrace(tb.hub().tracer(), path))
+      std::fprintf(stderr, "trace: %zu events -> %s\n",
+                   tb.hub().tracer().events().size(), path.c_str());
+  }
+  if (!args.spans_path.empty()) {
+    const std::string path = cellPath(args.spans_path, method);
+    if (obs::dumpSpans(tb.hub().spans(), path))
+      std::fprintf(stderr, "spans: %zu -> %s\n",
+                   tb.hub().spans().spans().size(), path.c_str());
+  }
+  if (!args.metrics_path.empty()) {
+    // Simulator tallies are published at dump time (they are accessors, not
+    // registry instruments). Wallclock stays on stderr: it is the one
+    // nondeterministic number and must not enter the deterministic dump.
+    const std::string path = cellPath(args.metrics_path, method);
+    auto& reg = tb.hub().registry();
+    reg.gauge("sim.events_executed")
+        ->set(static_cast<double>(tb.sim().eventsExecuted()));
+    reg.gauge("sim.max_queue_depth")
+        ->set(static_cast<double>(tb.sim().maxQueueDepth()));
+    if (obs::dumpMetrics(reg, path))
+      std::fprintf(stderr, "metrics -> %s (%.2fs wallclock, %llu events)\n",
+                   path.c_str(), tb.sim().wallSeconds(),
+                   static_cast<unsigned long long>(tb.sim().eventsExecuted()));
+  }
+}
+
+struct SweepResult {
+  std::vector<measure::CampaignResult> campaigns;  // index-aligned to trials
+
+  // The bench's exit status: 0, or 1 after naming every campaign whose row
+  // holds no measurement (its setup failed, or it set up but no access
+  // succeeded). Every figure method is expected to work, so a bench must
+  // not pass such a row off as a result.
   int exitCode() const {
-    for (const auto& why : failures)
-      std::fprintf(stderr, "FAILED: %s; its row is not a measurement\n",
-                   why.c_str());
-    return failures.empty() ? 0 : 1;
+    int code = 0;
+    for (const auto& c : campaigns) {
+      const char* why = !c.setup_ok         ? "setup failed"
+                        : c.successes == 0 ? "recorded no successful access"
+                                           : nullptr;
+      if (why == nullptr) continue;
+      std::fprintf(stderr, "FAILED: %s %s; its row is not a measurement\n",
+                   measure::methodName(c.method), why);
+      code = 1;
+    }
+    return code;
   }
 };
 
-// `with_serverless` appends a sixth, measured-only campaign (the ephemeral
-// serverless method — no paper column to compare against). It runs AFTER the
-// five paper methods on the same testbed, so their campaigns stay
-// byte-identical to a sweep without it.
-inline SweepResult runFiveMethodSweep(int accesses, bool measure_rtt,
-                                      std::uint64_t seed = 42,
-                                      bool cold_cache = false,
-                                      const BenchArgs* args = nullptr,
-                                      bool with_serverless = false) {
-  SweepResult sweep;
-  measure::TestbedOptions topts;
-  topts.seed = seed;
-  if (args != nullptr && !args->trace_path.empty()) topts.tracing = true;
-  if (args != nullptr && !args->spans_path.empty()) topts.spans = true;
-  measure::Testbed tb(topts);
-  measure::CampaignOptions copts;
-  copts.accesses = accesses;
-  copts.measure_rtt = measure_rtt;
-  copts.cold_cache = cold_cache;
-  std::uint32_t tag = 100;
-  std::vector<measure::Method> methods = paperMethods();
-  if (with_serverless) methods.push_back(measure::Method::kServerless);
-  for (const auto method : methods) {
-    auto result = measure::runAccessCampaign(tb, method, tag++, copts);
-    const std::string name = measure::methodName(method);
-    if (!result.setup_ok)
-      sweep.failures.push_back(name + " setup failed");
-    else if (result.successes == 0)
-      sweep.failures.push_back(name + " recorded no successful access");
-    sweep.campaigns.push_back(std::move(result));
+// The figure benches' campaign: every trial its own cell on SC_BENCH_THREADS
+// workers, each writing its own --trace/--metrics/--spans files. No row
+// depends on which other rows ran, or in what order.
+inline SweepResult runFigureCells(std::vector<measure::CampaignTrial> trials,
+                                  const BenchArgs& args) {
+  for (auto& trial : trials) {
+    trial.testbed.tracing = !args.trace_path.empty();
+    trial.testbed.spans = !args.spans_path.empty();
   }
-  if (args != nullptr) {
-    if (!args->trace_path.empty() &&
-        obs::dumpTrace(tb.hub().tracer(), args->trace_path)) {
-      std::fprintf(stderr, "trace: %zu events -> %s\n",
-                   tb.hub().tracer().events().size(),
-                   args->trace_path.c_str());
-    }
-    if (!args->spans_path.empty() &&
-        obs::dumpSpans(tb.hub().spans(), args->spans_path)) {
-      std::fprintf(stderr, "spans: %zu -> %s\n", tb.hub().spans().spans().size(),
-                   args->spans_path.c_str());
-    }
-    if (!args->metrics_path.empty()) {
-      // Simulator tallies are published at dump time (they are accessors,
-      // not registry instruments). Wallclock stays on stderr: it is the one
-      // nondeterministic number and must not enter the deterministic dump.
-      auto& reg = tb.hub().registry();
-      reg.gauge("sim.events_executed")
-          ->set(static_cast<double>(tb.sim().eventsExecuted()));
-      reg.gauge("sim.max_queue_depth")
-          ->set(static_cast<double>(tb.sim().maxQueueDepth()));
-      if (obs::dumpMetrics(reg, args->metrics_path)) {
-        std::fprintf(stderr, "metrics -> %s (%.2fs wallclock, %llu events)\n",
-                     args->metrics_path.c_str(), tb.sim().wallSeconds(),
-                     static_cast<unsigned long long>(
-                         tb.sim().eventsExecuted()));
-      }
-    }
-  }
-  return sweep;
+  return {runTrialCells(trials, threadsFromEnv(),
+                        [&](const measure::CampaignTrial& trial,
+                            measure::Testbed& tb) {
+                          auto result = measure::runAccessCampaign(
+                              tb, trial.method, trial.tag, trial.campaign);
+                          dumpCell(tb, args, trial.method);
+                          return result;
+                        })};
 }
 
 }  // namespace sc::bench

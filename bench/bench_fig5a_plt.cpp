@@ -12,10 +12,13 @@ int main(int argc, char** argv) {
   std::printf("Figure 5a — page load time (%d accesses per method)\n",
               accesses);
 
-  const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,
-                                               /*seed=*/42,
-                                               /*cold_cache=*/false, &args,
-                                               /*with_serverless=*/true);
+  CampaignOptions copts;
+  copts.accesses = accesses;
+  copts.measure_rtt = false;
+  auto methods = bench::paperMethods();
+  methods.push_back(Method::kServerless);
+  const auto sweep =
+      bench::runFigureCells(bench::methodTrials(methods, copts), args);
 
   Report report("Fig. 5a: PLT seconds (paper vs measured)",
                 {"paper 1st", "meas 1st", "paper sub", "meas sub",

@@ -13,10 +13,12 @@ int main(int argc, char** argv) {
   std::printf("Figure 5b — round-trip time (%d accesses per method)\n",
               accesses);
 
-  const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/true,
-                                               /*seed=*/42,
-                                               /*cold_cache=*/false, &args,
-                                               /*with_serverless=*/true);
+  CampaignOptions copts;
+  copts.accesses = accesses;  // RTT probes on: CampaignOptions' default
+  auto methods = bench::paperMethods();
+  methods.push_back(Method::kServerless);
+  const auto sweep =
+      bench::runFigureCells(bench::methodTrials(methods, copts), args);
 
   Report report("Fig. 5b: RTT ms (paper vs measured probe)",
                 {"paper", "measured", "min", "max"});

@@ -13,10 +13,18 @@ int main(int argc, char** argv) {
   std::printf("Figure 5c — packet loss rate (%d accesses per method)\n",
               accesses);
 
-  const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,
-                                               /*seed=*/42,
-                                               /*cold_cache=*/false, &args,
-                                               /*with_serverless=*/true);
+  CampaignOptions copts;
+  copts.accesses = accesses;
+  copts.measure_rtt = false;
+  auto methods = bench::paperMethods();
+  methods.push_back(Method::kServerless);
+  auto trials = bench::methodTrials(methods, copts);
+  // US control run: the same client software outside the GFW.
+  CampaignTrial us{Method::kUsControl, 200, copts, {}};
+  us.campaign.accesses = std::max(20, accesses / 4);
+  us.testbed.seed = 77;
+  trials.push_back(us);
+  const auto sweep = bench::runFigureCells(trials, args);
 
   Report report("Fig. 5c: PLR %% (paper vs measured)", {"paper", "measured"});
   for (std::size_t i = 0; i < bench::paperMethods().size(); ++i) {
@@ -24,19 +32,8 @@ int main(int argc, char** argv) {
     report.addRow({methodName(bench::paperMethods()[i]),
                    {PaperNumbers::plr[i], c.plr_pct}});
   }
-  report.addRow({"Serverless*", {0.0, sweep.campaigns.back().plr_pct}});
-
-  // US control run: the same client software outside the GFW.
-  {
-    TestbedOptions topts;
-    topts.seed = 77;
-    Testbed tb(topts);
-    CampaignOptions copts;
-    copts.accesses = std::max(20, accesses / 4);
-    copts.measure_rtt = false;
-    const auto us = runAccessCampaign(tb, Method::kUsControl, 200, copts);
-    report.addRow({"US control (direct)", {0.1, us.plr_pct}});
-  }
+  report.addRow({"Serverless*", {0.0, sweep.campaigns[5].plr_pct}});
+  report.addRow({"US control (direct)", {0.1, sweep.campaigns[6].plr_pct}});
   report.print();
 
   std::printf("\nShape checks: Tor >> Shadowsocks >> {VPNs, ScholarCloud}; "

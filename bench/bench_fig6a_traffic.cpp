@@ -13,23 +13,17 @@ int main(int argc, char** argv) {
   std::printf("Figure 6a — client traffic per access (%d accesses)\n",
               accesses);
 
+  CampaignOptions copts;
+  copts.accesses = accesses;
+  copts.measure_rtt = false;
+  copts.cold_cache = true;  // Fig. 6a reports full-transfer accesses
+  auto trials = bench::methodTrials(bench::paperMethods(), copts);
   // Direct baseline, measured from the US control client (no censorship).
-  double direct_kb = 0;
-  {
-    TestbedOptions topts;
-    topts.seed = 99;
-    Testbed tb(topts);
-    CampaignOptions copts;
-    copts.accesses = accesses;
-    copts.measure_rtt = false;
-    copts.cold_cache = true;  // Fig. 6a reports full-transfer accesses
-    const auto us = runAccessCampaign(tb, Method::kUsControl, 300, copts);
-    direct_kb = us.traffic_kb_per_access;
-  }
-
-  const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,
-                                               /*seed=*/42,
-                                               /*cold_cache=*/true, &args);
+  CampaignTrial us{Method::kUsControl, 300, copts, {}};
+  us.testbed.seed = 99;
+  trials.push_back(us);
+  const auto sweep = bench::runFigureCells(trials, args);
+  const double direct_kb = sweep.campaigns.back().traffic_kb_per_access;
 
   Report report("Fig. 6a: traffic KB/access (paper vs measured)",
                 {"paper total", "meas total", "paper extra", "meas extra"});

@@ -12,9 +12,11 @@ int main(int argc, char** argv) {
   const int accesses = args.accessesOr(60);
   std::printf("Figure 6b — client CPU utilization (%d accesses)\n", accesses);
 
-  const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,
-                                               /*seed=*/42,
-                                               /*cold_cache=*/false, &args);
+  CampaignOptions copts;
+  copts.accesses = accesses;
+  copts.measure_rtt = false;
+  const auto sweep = bench::runFigureCells(
+      bench::methodTrials(bench::paperMethods(), copts), args);
 
   Report report("Fig. 6b: CPU %% (paper browser vs modeled)",
                 {"paper", "browser", "extra client", "total"});

@@ -11,9 +11,11 @@ int main(int argc, char** argv) {
   const int accesses = args.accessesOr(40);
   std::printf("Figure 6c — client memory usage (%d accesses)\n", accesses);
 
-  const auto sweep = bench::runFiveMethodSweep(accesses, /*rtt=*/false,
-                                               /*seed=*/42,
-                                               /*cold_cache=*/false, &args);
+  CampaignOptions copts;
+  copts.accesses = accesses;
+  copts.measure_rtt = false;
+  const auto sweep = bench::runFigureCells(
+      bench::methodTrials(bench::paperMethods(), copts), args);
 
   Report report("Fig. 6c: memory MB (before / after / delta / extra client)",
                 {"before", "after", "paper dlt", "meas dlt", "extra"});

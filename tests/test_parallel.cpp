@@ -97,5 +97,35 @@ TEST(ParallelCampaign, TrialTraceAndMetricsByteIdenticalForAnyThreadCount) {
   EXPECT_NE(one[0].metrics_jsonl, one[1].metrics_jsonl);
 }
 
+// Every fig. 5 row is its own seed-42 world (tag 100+i, as the figure
+// benches build them): each method must set up and record a success there,
+// whether its campaign is one access or forty, so no figure row is a silent
+// zero.
+TEST(ParallelCampaign, EveryFigureMethodSetsUpAtFigureSeed) {
+  const Method methods[] = {Method::kNativeVpn,    Method::kOpenVpn,
+                            Method::kTor,          Method::kShadowsocks,
+                            Method::kScholarCloud, Method::kServerless};
+  std::vector<CampaignTrial> trials;
+  for (const int accesses : {1, 40}) {
+    std::uint32_t tag = 100;
+    for (const Method method : methods) {
+      CampaignTrial trial{method, tag++, {}, {}};
+      trial.campaign.accesses = accesses;
+      trial.campaign.measure_rtt = false;
+      trial.testbed.seed = 42;
+      trials.push_back(trial);
+    }
+  }
+  const auto cells = runCells(trials, 2, runCampaignTrial);
+  ASSERT_EQ(cells.size(), trials.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& r = cells[i].result;
+    EXPECT_TRUE(r.setup_ok) << methodName(trials[i].method) << " at "
+                            << trials[i].campaign.accesses << " accesses";
+    EXPECT_GT(r.successes, 0) << methodName(trials[i].method) << " at "
+                              << trials[i].campaign.accesses << " accesses";
+  }
+}
+
 }  // namespace
 }  // namespace sc::measure
